@@ -2,8 +2,9 @@
 
 Exit status 0 means every claim in every emitted certificate passed,
 1 means a certificate was refused or a claim failed, 2 means malformed
-input.  All randomness flows from --seed, and identical invocations
-produce byte-identical JSON output.
+input, 3 means a seeded construction ran out of resamples or two exact
+computations disagreed.  All randomness flows from --seed, and identical
+invocations produce byte-identical JSON output.
 """
 
 from __future__ import annotations
@@ -26,7 +27,12 @@ from .construct import (
     terracini_dim,
     terracini_expected,
 )
-from .errors import CertificateRefused, InputError
+from .errors import (
+    CertificateRefused,
+    InputError,
+    InternalInconsistency,
+    ResampleExhausted,
+)
 from .forms import form_from_json, form_to_json
 from .rationalla import rank_exact, rank_with_fastpath
 from .schemes import (
@@ -191,6 +197,8 @@ def _read(path: str) -> str:
 
 def _run(args: argparse.Namespace) -> tuple[dict, bool]:
     """Dispatch; returns (report, all_certificates_passed)."""
+    if args.bound < 1:
+        raise InputError("--bound must be >= 1")
     base = {
         "command": args.command,
         "seed": args.seed,
@@ -327,6 +335,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except InputError as e:
         sys.stderr.write(f"input error: {e}\n")
         return 2
+    except (ResampleExhausted, InternalInconsistency) as e:
+        sys.stderr.write(f"{type(e).__name__}: {e}\n")
+        return 3
     text = emit_report(report, args.format)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -16,7 +16,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, prod
 from typing import List, Optional, Sequence
 
 from .errors import (
@@ -38,7 +38,6 @@ from .forms import (
 )
 from .rationalla import (
     QMatrix,
-    in_row_space,
     kernel_basis,
     membership_solve,
     rank_exact,
@@ -49,10 +48,8 @@ from .schemes import (
     Reduced,
     SchemeSpec,
     TwoThreePoint,
-    conditions_matrix,
     h1,
     lgp_check,
-    proper_subscheme_spans,
     random_fat_point,
     random_jet_on_conic,
     random_jet_on_line,
@@ -208,13 +205,20 @@ def _intersect_spans(A: QMatrix, B: QMatrix) -> list[tuple[list[Fraction], list[
     return vectors
 
 
-def _exclusion_claim(Z: SchemeSpec, d: int, P: Form) -> Claim:
-    spans = proper_subscheme_spans(Z, d)
-    bad = sum(1 for S in spans if in_row_space(S, P.coeffs))
+def _exclusion_claim(Z: SchemeSpec, coeffs: Sequence[Fraction]) -> Claim:
+    """The target avoids every proper subscheme span of a curvilinear Z, read
+    off its coefficients on the span rows of Z, which must be independent.
+
+    The coefficients are then unique, so a truncation's span holds the target
+    exactly when the dropped coefficients vanish: the target avoids all
+    prod(k_i + 1) - 1 of them exactly when the last coefficient of every
+    component block is nonzero.
+    """
+    lengths = [comp.degree(Z.m) for comp in Z.components]
+    count = prod(k + 1 for k in lengths) - 1
+    passed = all(coeffs[end - 1] != 0 for end in itertools.accumulate(lengths))
     return Claim(
-        f"target lies outside all {len(spans)} proper subscheme spans",
-        (len(spans),),
-        bad == 0,
+        f"target lies outside all {count} proper subscheme spans", (count,), passed
     )
 
 
@@ -222,6 +226,99 @@ def _require(claims: List[Claim], claim: Claim) -> None:
     claims.append(claim)
     if not claim.passed:
         raise CertificateRefused(claim.statement, claim.ranks)
+
+
+def _span_claims(
+    Z: SchemeSpec, S: QMatrix, P: Form, independence: str, nonzero: bool = True
+) -> List[Claim]:
+    """Independence, membership and exclusion claims for a curvilinear Z with
+    span matrix S and target P, from one rank and one solve.
+
+    h1 = deg Z - rank S, because the conditions rows are the span rows with
+    column beta scaled by multinomial(d, beta) != 0.  With ``nonzero`` the
+    membership claim also asks every coefficient to be nonzero.  Raises
+    CertificateRefused at the first failed claim, so exclusion is only read
+    off independent rows.
+    """
+    t = scheme_degree(Z)
+    r = rank_exact(S)
+    claims: List[Claim] = []
+    _require(claims, Claim(independence, (r, t - r), r == t))
+    sol = membership_solve(S, P.coeffs)
+    if nonzero:
+        statement = "target lies in the span with all coefficients nonzero"
+        passed = sol is not None and all(c != 0 for c in sol)
+    else:
+        statement = "target form lies in the span of the scheme"
+        passed = sol is not None
+    _require(claims, Claim(statement, (t,), passed))
+    _require(claims, _exclusion_claim(Z, sol))
+    return claims
+
+
+def _sample_jet_on_line(
+    rng: random.Random,
+    m: int,
+    d: int,
+    bound: int,
+    k: int,
+    s: int,
+    n_line: int,
+    general: bool = False,
+):
+    """One draw of a length-k jet on a random line Q0 + zV, s points off the
+    line and n_line points of the line whose powers span a space meeting the
+    jet span in a single point Q.
+
+    Returns (Z, line_pts, alphas, betas, Q), where Q is the combination of the
+    line powers with coefficients alphas and of the jet span rows with betas,
+    all nonzero; None for a degenerate draw.  With ``general`` Z must also be
+    in linearly general position.
+    """
+    Q0 = random_vector(rng, m, bound)
+    V = random_vector(rng, m, bound)
+    if rank_exact(QMatrix.from_rows([Q0, V])) != 2:
+        return None
+    zero = tuple(Fraction(0) for _ in range(m + 1))
+    jet = Jet((Q0, V) + (zero,) * (k - 2))
+    pts = []
+    for _ in range(s):
+        p = random_vector(rng, m, bound)
+        if rank_exact(QMatrix.from_rows([Q0, V, p])) != 3:
+            return None
+        pts.append(Reduced(p))
+    try:
+        Z = SchemeSpec(m, (jet,) + tuple(pts))
+    except InputError:
+        return None
+    if general and not lgp_check(Z):
+        return None
+    zs = _distinct_nonzero_ints(rng, n_line, bound)
+    line_pts = [_point_on_line(Q0, V, z) for z in zs]
+    A = QMatrix.from_rows([power_expand(LinearForm(m, p), d).coeffs for p in line_pts])
+    J = span_matrix(SchemeSpec(m, (jet,)), d)
+    if rank_exact(A) != n_line or rank_exact(J) != k:
+        return None
+    inter = _intersect_spans(A, J)
+    if len(inter) != 1:
+        return None
+    x, qvec = inter[0]
+    alphas = x[:n_line]
+    betas = [-b for b in x[n_line:]]
+    if any(a == 0 for a in alphas) or any(b == 0 for b in betas):
+        return None
+    return Z, line_pts, alphas, betas, Form(m, d, tuple(qvec))
+
+
+def _plus_point_powers(
+    rng: random.Random, Q: Form, pts: Sequence[Reduced], bound: int
+) -> tuple[Form, list[Fraction]]:
+    """Q plus a random nonzero multiple c_i of the d-th power of each point;
+    returns the sum and the multiples."""
+    cs = [Fraction(_nonzero_int(rng, bound)) for _ in pts]
+    for c, r in zip(cs, pts):
+        Q = Q + power_expand(LinearForm(Q.m, r.point), Q.d).scale(c)
+    return Q, cs
 
 
 # ---------------------------------------------------------------------------
@@ -610,23 +707,13 @@ def certify_border_rank(P: Form, Z: SchemeSpec, d: int) -> Certificate:
     if P.m != Z.m or P.d != d:
         raise InputError("form and scheme live in different spaces")
     t = scheme_degree(Z)
-    claims: List[Claim] = []
-    S = span_matrix(Z, d)
-    superab = h1(Z, d)
-    _require(
-        claims,
-        Claim(
-            f"scheme of degree {t} imposes independent conditions in degree {d} (h1 = 0)",
-            (rank_exact(S), superab),
-            superab == 0 and rank_exact(S) == t,
-        ),
+    claims = _span_claims(
+        Z,
+        span_matrix(Z, d),
+        P,
+        f"scheme of degree {t} imposes independent conditions in degree {d} (h1 = 0)",
+        nonzero=False,
     )
-    sol = membership_solve(S, P.coeffs)
-    _require(
-        claims,
-        Claim("target form lies in the span of the scheme", (S.rows,), sol is not None),
-    )
-    _require(claims, _exclusion_claim(Z, d, P))
 
     regime = 2 * t <= d + 1
     if regime:
@@ -738,22 +825,12 @@ def construct_stratum_point(
         regime = 2 * t <= d + 1
         if regime and fr != t:
             continue
-        claims: List[Claim] = [
-            Claim(
-                f"scheme of degree {t} imposes independent conditions (h1 = 0)",
-                (t, h1(Z, d)),
-                h1(Z, d) == 0,
+        try:
+            claims = _span_claims(
+                Z, S, P, f"scheme of degree {t} imposes independent conditions (h1 = 0)"
             )
-        ]
-        sol = membership_solve(S, P.coeffs)
-        claims.append(
-            Claim(
-                "target lies in the span with all coefficients nonzero",
-                (t,),
-                sol is not None and all(c != 0 for c in sol),
-            )
-        )
-        claims.append(_exclusion_claim(Z, d, P))
+        except CertificateRefused:
+            continue
         if regime:
             e1_flag = t <= (d - 1) // 2
             claims.append(
@@ -836,45 +913,13 @@ def construct_line_jet(
     rng = random.Random(seed)
     n_line = d + 2 - t1
     for _ in range(MAX_ATTEMPTS):
-        Q0 = random_vector(rng, m, bound)
-        V = random_vector(rng, m, bound)
-        if rank_exact(QMatrix.from_rows([Q0, V])) != 2:
+        sample = _sample_jet_on_line(rng, m, d, bound, t1, s1, n_line)
+        if sample is None:
             continue
+        Z, line_pts, alphas, _, Qpt = sample
+        Q0, V = Z.components[0].curve[:2]
+        pts = Z.components[1:]
         zero = tuple(Fraction(0) for _ in range(m + 1))
-        jet = Jet((Q0, V) + (zero,) * (t1 - 2))
-        pts = []
-        ok = True
-        for _ in range(s1):
-            p = random_vector(rng, m, bound)
-            if rank_exact(QMatrix.from_rows([Q0, V, p])) != 3:
-                ok = False
-                break
-            pts.append(Reduced(p))
-        if not ok:
-            continue
-        try:
-            Z = SchemeSpec(m, (jet,) + tuple(pts))
-        except InputError:
-            continue
-
-        zs = _distinct_nonzero_ints(rng, n_line, bound)
-        line_pts = [_point_on_line(Q0, V, z) for z in zs]
-        A_rows = QMatrix.from_rows(
-            [power_expand(LinearForm(m, p), d).coeffs for p in line_pts]
-        )
-        J_rows = span_matrix(SchemeSpec(m, (jet,)), d)
-        if rank_exact(A_rows) != n_line or rank_exact(J_rows) != t1:
-            continue
-        inter = _intersect_spans(A_rows, J_rows)
-        if len(inter) != 1:
-            continue
-        x, qvec = inter[0]
-        alphas = x[:n_line]
-        betas = [-b for b in x[n_line:]]
-        if any(a == 0 for a in alphas) or any(b == 0 for b in betas):
-            continue
-        Qpt = Form(m, d, tuple(qvec))
-
         full_jet = Jet((Q0, V) + (zero,) * (d - 1))
         full_rows = span_matrix(SchemeSpec(m, (full_jet,)), d)
         S1_rows = (
@@ -886,34 +931,19 @@ def construct_line_jet(
         )
         dim_claim_rank = rank_exact(full_rows.stack(S1_rows))
 
-        cs = [Fraction(_nonzero_int(rng, bound))]
-        P_vec = [cs[0] * c for c in Qpt.coeffs]
-        for r in pts:
-            c = Fraction(_nonzero_int(rng, bound))
-            cs.append(c)
-            row = power_expand(LinearForm(m, r.point), d).coeffs
-            P_vec = [a + c * b for a, b in zip(P_vec, row)]
-        P = Form(m, d, tuple(P_vec))
+        c0 = Fraction(_nonzero_int(rng, bound))
+        P, cs = _plus_point_powers(rng, Qpt.scale(c0), pts, bound)
 
         t = t1 + s1
-        claims: List[Claim] = []
-        claims.append(
-            Claim(
+        try:
+            claims = _span_claims(
+                Z,
+                span_matrix(Z, d),
+                P,
                 f"scheme jet({t1}) + {s1} points imposes independent conditions",
-                (t, h1(Z, d)),
-                h1(Z, d) == 0,
             )
-        )
-        S = span_matrix(Z, d)
-        sol = membership_solve(S, P.coeffs)
-        claims.append(
-            Claim(
-                "target lies in the span with all coefficients nonzero",
-                (t,),
-                sol is not None and all(c != 0 for c in sol),
-            )
-        )
-        claims.append(_exclusion_claim(Z, d, P))
+        except CertificateRefused:
+            continue
         claims.append(
             Claim(
                 f"line span plus points has the expected dimension {d}+{s1}",
@@ -930,11 +960,11 @@ def construct_line_jet(
             )
         )
         summands = [
-            Summand(PURE_POWER, cs[0] * a, LinearForm(m, p))
-            for a, p in zip(alphas, line_pts)
+            Summand(PURE_POWER, c, LinearForm(m, p))
+            for c, p in zip(
+                [c0 * a for a in alphas] + cs, line_pts + [r.point for r in pts]
+            )
         ]
-        for c, r in zip(cs[1:], pts):
-            summands.append(Summand(PURE_POWER, c, LinearForm(m, r.point)))
         try:
             record = DecompositionRecord(m, d, tuple(summands), P)
         except InputError:
@@ -998,76 +1028,21 @@ def construct_tangent_plus_points(
         raise InputError("need d >= 5 and 3 <= t <= d")
     rng = random.Random(seed)
     for _ in range(MAX_ATTEMPTS):
-        Q0 = random_vector(rng, m, bound)
-        V = random_vector(rng, m, bound)
-        if rank_exact(QMatrix.from_rows([Q0, V])) != 2:
+        sample = _sample_jet_on_line(rng, m, d, bound, 2, t - 2, d, general=True)
+        if sample is None:
             continue
-        jet = Jet((Q0, V))
-        pts = []
-        ok = True
-        for _ in range(t - 2):
-            p = random_vector(rng, m, bound)
-            if rank_exact(QMatrix.from_rows([Q0, V, p])) != 3:
-                ok = False
-                break
-            pts.append(Reduced(p))
-        if not ok:
-            continue
+        Z, line_pts, alphas, betas, Qjet = sample
+        Q0, V = Z.components[0].curve
+        pts = Z.components[1:]
+        P, mus = _plus_point_powers(rng, Qjet, pts, bound)
+
+        claims = [Claim("scheme is in linearly general position", (), lgp_check(Z))]
         try:
-            Z = SchemeSpec(m, (jet,) + tuple(pts))
-        except InputError:
-            continue
-        if not lgp_check(Z):
-            continue
-
-        zs = _distinct_nonzero_ints(rng, d, bound)
-        line_pts = [_point_on_line(Q0, V, z) for z in zs]
-        B_rows = QMatrix.from_rows(
-            [power_expand(LinearForm(m, p), d).coeffs for p in line_pts]
-        )
-        J_rows = span_matrix(SchemeSpec(m, (jet,)), d)
-        if rank_exact(B_rows) != d:
-            continue
-        inter = _intersect_spans(B_rows, J_rows)
-        if len(inter) != 1:
-            continue
-        x, qvec = inter[0]
-        alphas = x[:d]
-        betas = [-b for b in x[d:]]
-        if any(a == 0 for a in alphas) or any(b == 0 for b in betas):
-            continue
-        Qjet = Form(m, d, tuple(qvec))
-
-        mus = []
-        P_vec = list(Qjet.coeffs)
-        for r in pts:
-            c = Fraction(_nonzero_int(rng, bound))
-            mus.append(c)
-            row = power_expand(LinearForm(m, r.point), d).coeffs
-            P_vec = [a + c * b for a, b in zip(P_vec, row)]
-        P = Form(m, d, tuple(P_vec))
-
-        claims: List[Claim] = []
-        claims.append(
-            Claim("scheme is in linearly general position", (), lgp_check(Z))
-        )
-        claims.append(
-            Claim(
-                "scheme imposes independent conditions (h1 = 0)",
-                (t, h1(Z, d)),
-                h1(Z, d) == 0,
+            claims += _span_claims(
+                Z, span_matrix(Z, d), P, "scheme imposes independent conditions (h1 = 0)"
             )
-        )
-        S = span_matrix(Z, d)
-        sol = membership_solve(S, P.coeffs)
-        claims.append(
-            Claim(
-                "target lies in the span with all coefficients nonzero",
-                (t,),
-                sol is not None and all(c != 0 for c in sol),
-            )
-        )
-        claims.append(_exclusion_claim(Z, d, P))
+        except CertificateRefused:
+            continue
         regime = 2 * t <= d + 1
         if regime:
             claims.append(
@@ -1097,11 +1072,9 @@ def construct_tangent_plus_points(
             )
         )
         summands = [
-            Summand(PURE_POWER, a, LinearForm(m, p))
-            for a, p in zip(alphas, line_pts)
+            Summand(PURE_POWER, c, LinearForm(m, p))
+            for c, p in zip(alphas + mus, line_pts + [r.point for r in pts])
         ]
-        for c, r in zip(mus, pts):
-            summands.append(Summand(PURE_POWER, c, LinearForm(m, r.point)))
         try:
             record = DecompositionRecord(m, d, tuple(summands), P)
         except InputError:
@@ -1179,6 +1152,11 @@ def construct_conic_double(
         raise InputError("divisor degrees must sum to 2d+2")
     if min(deg_a, deg_b) < 1 or any(p < 1 for p in a_parts + b_parts):
         raise InputError("divisor parts must be positive")
+    if len(a_parts) + len(b_parts) > 2 * bound + 1:
+        raise InputError(
+            f"{len(a_parts) + len(b_parts)} divisor parts need distinct conic "
+            f"parameters, but [-{bound}, {bound}] has only {2 * bound + 1}"
+        )
     rng = random.Random(seed)
     m = 2
     for _ in range(MAX_ATTEMPTS):
@@ -1210,7 +1188,7 @@ def construct_conic_double(
         inter = _intersect_spans(SA, SB)
         if len(inter) != 1:
             continue
-        _, pvec = inter[0]
+        x, pvec = inter[0]
         P = Form(m, d, tuple(pvec))
         claims: List[Claim] = [
             Claim(f"first divisor of degree {deg_a} is linearly independent", (rA,), rA == deg_a),
@@ -1222,8 +1200,9 @@ def construct_conic_double(
                 stacked_rank == 2 * d + 1,
             ),
         ]
-        ex_a = _exclusion_claim(A, d, P)
-        ex_b = _exclusion_claim(B, d, P)
+        # x[:deg_a] and -x[deg_a:] are P's unique coefficients on SA and SB
+        ex_a = _exclusion_claim(A, x[:deg_a])
+        ex_b = _exclusion_claim(B, x[deg_a:])
         claims.append(Claim("(first divisor) " + ex_a.statement, ex_a.ranks, ex_a.passed))
         claims.append(Claim("(second divisor) " + ex_b.statement, ex_b.ranks, ex_b.passed))
         bval = min(deg_a, deg_b)

@@ -272,6 +272,24 @@ def rat_from_str(s: str) -> Fraction:
         raise InputError(f"bad rational literal {s!r}: {e}") from None
 
 
+def rat_from_json(x) -> Fraction:
+    """A rational given as a string or a JSON integer; floats and bools are
+    refused rather than rounded."""
+    if type(x) is int:
+        return Fraction(x)
+    if isinstance(x, str):
+        return rat_from_str(x)
+    raise InputError(f"rational must be a string or an integer, got {x!r}")
+
+
+def int_from_json(obj: dict, key: str) -> int:
+    """The JSON integer obj[key]; floats, bools and strings are refused."""
+    v = obj[key]
+    if type(v) is not int:
+        raise InputError(f"{key!r} must be an integer, got {v!r}")
+    return v
+
+
 def form_to_json(F: Form) -> dict:
     return {
         "m": F.m,
@@ -283,8 +301,8 @@ def form_to_json(F: Form) -> dict:
 
 def form_from_json(obj: dict) -> Form:
     try:
-        m, d = int(obj["m"]), int(obj["d"])
-        coeffs = [rat_from_str(str(c)) for c in obj["coeffs"]]
+        m, d = int_from_json(obj, "m"), int_from_json(obj, "d")
+        coeffs = [rat_from_json(c) for c in obj["coeffs"]]
         order = obj.get("order", "grlex")
     except (KeyError, TypeError) as e:
         raise InputError(f"malformed form JSON: {e}") from None

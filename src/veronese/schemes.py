@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 from .errors import InputError, UnsupportedComponentError
 from .forms import (
@@ -35,7 +35,8 @@ from .forms import (
     monomial_basis,
     multinomial,
     power_expand,
-    rat_from_str,
+    int_from_json,
+    rat_from_json,
     rat_to_str,
 )
 from .rationalla import QMatrix, _q, kernel_basis, membership_solve, rank_exact
@@ -43,17 +44,12 @@ from .rationalla import QMatrix, _q, kernel_basis, membership_solve, rank_exact
 Vector = Tuple[Fraction, ...]
 
 
-def _vec(xs: Sequence) -> Vector:
-    return tuple(_q(x) for x in xs)
+def _vec_from_json(xs: Sequence) -> Vector:
+    return tuple(rat_from_json(x) for x in xs)
 
 
 def _dependent(u: Sequence[Fraction], v: Sequence[Fraction]) -> bool:
     return rank_exact(QMatrix.from_rows([u, v])) <= 1
-
-
-def _proportional(u: Sequence[Fraction], v: Sequence[Fraction]) -> bool:
-    """Projective equality of nonzero vectors."""
-    return _dependent(u, v)
 
 
 @dataclass(frozen=True)
@@ -163,7 +159,7 @@ class SchemeSpec:
         sups = [c.support for c in self.components]
         for i in range(len(sups)):
             for j in range(i + 1, len(sups)):
-                if _proportional(sups[i], sups[j]):
+                if _dependent(sups[i], sups[j]):
                     raise InputError(f"components {i} and {j} share a support")
 
 
@@ -217,21 +213,10 @@ def _monomial_on_curve(beta: MultiIndex, curve: Sequence[Vector], cap: int):
     return out
 
 
-def _jet_span_block(m: int, curve: Sequence[Vector], length: int, d: int):
-    """First `length` span rows of a jet: [t^j] (c(t).x)^d for j < length."""
-    basis = monomial_basis(m, d)
-    rows = [[Fraction(0)] * len(basis) for _ in range(length)]
-    for col, alpha in enumerate(basis):
-        mult = multinomial(d, alpha)
-        tp = _monomial_on_curve(alpha, curve, length)
-        for j in range(length):
-            if tp[j] != 0:
-                rows[j][col] = mult * tp[j]
-    return rows
-
-
-def _jet_condition_block(m: int, curve: Sequence[Vector], length: int, d: int):
-    """Functionals F -> [t^j] F(c(t)) for j < length, as rows over the basis."""
+def _jet_block(m: int, curve: Sequence[Vector], length: int, d: int):
+    """Rows [t^j] c(t)^beta for j < length over the degree-d basis: the jet's
+    conditions.  Scaling column beta by multinomial(d, beta) turns them into
+    the span rows [t^j] (c(t).x)^d, so both matrices have the same rank."""
     basis = monomial_basis(m, d)
     rows = [[Fraction(0)] * len(basis) for _ in range(length)]
     for col, beta in enumerate(basis):
@@ -245,7 +230,11 @@ def _span_block(m: int, comp: Component, d: int):
     if isinstance(comp, Reduced):
         return [list(power_expand(LinearForm(m, comp.point), d).coeffs)]
     if isinstance(comp, Jet):
-        return _jet_span_block(m, comp.curve, comp.length, d)
+        mults = [multinomial(d, alpha) for alpha in monomial_basis(m, d)]
+        return [
+            [c * x for c, x in zip(mults, row)]
+            for row in _jet_block(m, comp.curve, comp.length, d)
+        ]
     raise UnsupportedComponentError(
         f"span is defined for curvilinear components only, got {type(comp).__name__}"
     )
@@ -378,7 +367,7 @@ def conditions_matrix(Z: SchemeSpec, d: int) -> QMatrix:
                 row.append(v)
             rows.append(row)
         elif isinstance(comp, Jet):
-            rows.extend(_jet_condition_block(Z.m, comp.curve, comp.length, d))
+            rows.extend(_jet_block(Z.m, comp.curve, comp.length, d))
         elif isinstance(comp, FatPoint):
             rows.extend(_fat_condition_block(Z.m, comp.point, comp.multiplicity, d))
         elif isinstance(comp, TwoThreePoint):
@@ -564,6 +553,8 @@ def reparametrize_jet(jet: Jet, u, v) -> Jet:
 
 
 def random_vector(rng: random.Random, m: int, bound: int) -> Vector:
+    if bound < 1:
+        raise InputError("coordinate bound must be >= 1")
     while True:
         v = tuple(Fraction(rng.randint(-bound, bound)) for _ in range(m + 1))
         if any(c != 0 for c in v):
@@ -633,7 +624,7 @@ def random_point_on_hyperplane(
             return pt
 
 
-def assemble_scheme(m: int, components: Sequence[Component], max_tries: int = 64):
+def assemble_scheme(m: int, components: Sequence[Component]):
     """SchemeSpec from components, or None when supports collide."""
     try:
         return SchemeSpec(m, tuple(components))
@@ -726,22 +717,18 @@ def _component_from_json(i: int, obj: dict) -> Component:
     try:
         kind = obj["kind"]
         if kind == "reduced":
-            return Reduced(_vec([rat_from_str(str(x)) for x in obj["point"]]))
+            return Reduced(_vec_from_json(obj["point"]))
         if kind == "jet":
-            return Jet(
-                tuple(
-                    _vec([rat_from_str(str(x)) for x in v]) for v in obj["curve"]
-                )
-            )
+            return Jet(tuple(_vec_from_json(v) for v in obj["curve"]))
         if kind == "fat":
             return FatPoint(
-                _vec([rat_from_str(str(x)) for x in obj["point"]]),
-                int(obj["multiplicity"]),
+                _vec_from_json(obj["point"]),
+                int_from_json(obj, "multiplicity"),
             )
         if kind == "two_three":
             return TwoThreePoint(
-                _vec([rat_from_str(str(x)) for x in obj["point"]]),
-                _vec([rat_from_str(str(x)) for x in obj["direction"]]),
+                _vec_from_json(obj["point"]),
+                _vec_from_json(obj["direction"]),
             )
         raise InputError(f"unknown component kind {kind!r}")
     except (KeyError, TypeError, InputError) as e:
@@ -750,7 +737,7 @@ def _component_from_json(i: int, obj: dict) -> Component:
 
 def scheme_from_json(obj: dict) -> SchemeSpec:
     try:
-        m = int(obj["m"])
+        m = int_from_json(obj, "m")
         comps = obj["components"]
     except (KeyError, TypeError) as e:
         raise InputError(f"malformed scheme JSON: {e}") from None

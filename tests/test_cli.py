@@ -110,25 +110,92 @@ def test_gamma_command(capsys):
 
 
 def test_exit_2_on_malformed_json(tmp_path, capsys):
+    point = {"kind": "reduced", "point": ["1", "0", "0"]}
+    cases = [
+        ("h1", '{"m": 2'),
+        # JSON numbers that are not integers are refused, not truncated
+        ("h1", json.dumps({"m": 2.5, "components": [point]})),
+        ("h1", json.dumps({"m": True, "components": [point]})),
+        ("sylvester", json.dumps({"m": 1.0, "d": 2, "coeffs": ["1", "0", "1"]})),
+        ("sylvester", json.dumps({"m": 1, "d": 2.9, "coeffs": ["1", "0", "1"]})),
+        ("sylvester", json.dumps({"m": 1, "d": 2, "coeffs": [0.5, "0", "1"]})),
+        ("sylvester", json.dumps({"m": 1, "d": 2, "coeffs": [True, "0", "1"]})),
+    ]
     p = tmp_path / "bad.json"
-    p.write_text('{"m": 2')
-    code = main(["h1", "3", "--scheme", str(p)])
-    err = capsys.readouterr().err
-    assert code == 2 and "input error" in err
+    for command, text in cases:
+        p.write_text(text)
+        if command == "h1":
+            code = main(["h1", "3", "--scheme", str(p)])
+        else:
+            code = main(["sylvester", "--form", str(p)])
+        err = capsys.readouterr().err
+        assert code == 2 and "input error" in err, text
 
 
 def test_exit_2_on_invariant_violation(tmp_path, capsys):
+    cases = [
+        {"kind": "jet", "curve": [["1", "0", "0"], ["3", "0", "0"]]},
+        {"kind": "fat", "point": ["1", "0", "0"], "multiplicity": 2.7},
+        {"kind": "fat", "point": ["1", "0", "0"], "multiplicity": True},
+        {"kind": "reduced", "point": [0.5, 1, 0]},
+    ]
+    p = tmp_path / "scheme.json"
+    for comp in cases:
+        p.write_text(json.dumps({"m": 2, "components": [comp]}))
+        code = main(["h1", "3", "--scheme", str(p)])
+        err = capsys.readouterr().err
+        assert code == 2 and "component 0" in err, comp
+
+
+def test_integer_coordinates_accepted(tmp_path, capsys):
     scheme = {
         "m": 2,
         "components": [
-            {"kind": "jet", "curve": [["1", "0", "0"], ["3", "0", "0"]]}
+            {"kind": "fat", "point": [1, 0, 0], "multiplicity": 2},
+            {"kind": "reduced", "point": [0, 1, -1]},
         ],
     }
     p = tmp_path / "scheme.json"
     p.write_text(json.dumps(scheme))
-    code = main(["h1", "3", "--scheme", str(p)])
+    code, out = run_cli(capsys, "h1", "4", "--scheme", str(p))
+    assert code == 0 and json.loads(out)["degree"] == 4
+
+
+def test_exit_2_on_bound_below_one(capsys):
+    # rejection sampling in an empty coordinate box would never end
+    code = main(["construct", "2", "9", "--label", "2,1,1", "--bound", "0"])
     err = capsys.readouterr().err
-    assert code == 2 and "component 0" in err
+    assert code == 2 and "--bound" in err
+
+
+def test_exit_2_on_conic_parts_beyond_parameter_box(capsys):
+    code = main(
+        ["construct", "2", "5", "--conic-a", "2,2,2", "--conic-b", "3,3", "--bound", "1"]
+    )
+    err = capsys.readouterr().err
+    assert code == 2 and "divisor parts" in err
+
+
+def test_exit_3_on_resample_exhausted(capsys):
+    # double points in P^2, d = 4, t = 5: the Alexander-Hirschowitz exception
+    code = main(["terracini", "2", "4", "--kind", "secant", "--t", "5"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("ResampleExhausted: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_exit_3_on_internal_inconsistency(monkeypatch, capsys):
+    import veronese.cli as cli
+    from veronese.errors import InternalInconsistency
+
+    def disagree(*args):
+        raise InternalInconsistency("two exact computations disagreed")
+
+    monkeypatch.setattr(cli, "stratification_report", disagree)
+    code = main(["stratify", "2", "9", "4"])
+    err = capsys.readouterr().err
+    assert code == 3 and err == "InternalInconsistency: two exact computations disagreed\n"
 
 
 def test_parse_scheme_roundtrip_identity():

@@ -2,11 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from veronese.construct import (
     PURE_POWER,
     DecompositionRecord,
     Summand,
+    _exclusion_claim,
     certificate_to_json,
     certify_border_rank,
     construct_conic_double,
@@ -28,11 +31,14 @@ from veronese.forms import (
     product_expand,
     substitute,
 )
-from veronese.rationalla import rank_exact
+from veronese.rationalla import in_row_space, membership_solve, rank_exact
 from veronese.schemes import (
     Jet,
     Reduced,
     SchemeSpec,
+    assemble_scheme,
+    proper_subscheme_spans,
+    random_jet_on_conic,
     random_jet_on_line,
     random_reduced,
     span_matrix,
@@ -182,8 +188,10 @@ def test_certify_refuses_point_in_proper_span():
     rng = random.Random(8)
     Z = SchemeSpec(2, tuple(random_reduced(rng, 2, 20) for _ in range(3)))
     P = span_combo(Z, 5, [F(1), F(1), F(0)])  # drops the third point
-    with pytest.raises(CertificateRefused):
+    with pytest.raises(CertificateRefused) as e:
         certify_border_rank(P, Z, 5)
+    assert e.value.statement == "target lies outside all 7 proper subscheme spans"
+    assert e.value.ranks == (7,)
 
 
 def test_certify_refuses_nonmember():
@@ -194,6 +202,67 @@ def test_certify_refuses_nonmember():
     )
     with pytest.raises(CertificateRefused):
         certify_border_rank(P, Z, 4)
+
+
+def test_certify_refuses_dependent_scheme():
+    # d+2 collinear points are dependent in degree d: refused at independence,
+    # before any exclusion claim is read off the dependent rows
+    d = 4
+    line = SchemeSpec(2, tuple(Reduced((F(1), F(z), F(0))) for z in range(d + 2)))
+    with pytest.raises(CertificateRefused) as e:
+        certify_border_rank(span_combo(line, d, [F(1)] * (d + 2)), line, d)
+    assert "imposes independent conditions" in e.value.statement
+    assert e.value.ranks == (d + 1, 1)
+
+
+@st.composite
+def curvilinear_targets(draw):
+    """A curvilinear scheme with independent span rows and a target in its
+    span; with ``dropped`` set, that component's last coefficient is 0."""
+    m = draw(st.sampled_from((2, 3)))
+    d = draw(st.integers(4, 8))
+    lengths = draw(
+        st.lists(st.integers(1, 3), min_size=1, max_size=3).filter(
+            lambda ls: sum(ls) <= d + 1
+        )
+    )
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    comps = []
+    for k in lengths:
+        if k == 1:
+            comps.append(random_reduced(rng, m, 9))
+        elif k == 3 and rng.random() < 0.5:
+            comps.append(random_jet_on_conic(rng, m, 9, 3))
+        else:
+            comps.append(random_jet_on_line(rng, m, 9, k))
+    Z = assemble_scheme(m, comps)
+    assume(Z is not None)
+    S = span_matrix(Z, d)
+    assume(rank_exact(S) == S.rows)
+    nonzero = st.sampled_from([c for c in range(-5, 6) if c != 0])
+    coeffs = [F(draw(nonzero)) for _ in range(S.rows)]
+    dropped = draw(st.none() | st.integers(0, len(lengths) - 1))
+    if dropped is not None:
+        coeffs[sum(lengths[: dropped + 1]) - 1] = F(0)
+    return Z, d, span_combo(Z, d, coeffs), dropped
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@given(curvilinear_targets())
+def test_exclusion_reader_matches_brute_force(case):
+    Z, d, P, dropped = case
+    coeffs = membership_solve(span_matrix(Z, d), P.coeffs)
+    claim = _exclusion_claim(Z, coeffs)
+    spans = proper_subscheme_spans(Z, d)
+    assert claim.ranks == (len(spans),)
+    assert claim.passed == (not any(in_row_space(S, P.coeffs) for S in spans))
+    assert claim.passed == (dropped is None)
 
 
 def test_line_condition_detects_long_line_jets():

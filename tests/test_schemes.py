@@ -6,7 +6,13 @@ import pytest
 
 from oracles import jet_span_rows_oracle
 from veronese.errors import InputError, UnsupportedComponentError
-from veronese.forms import LinearForm, power_expand, product_expand
+from veronese.forms import (
+    LinearForm,
+    monomial_basis,
+    multinomial,
+    power_expand,
+    product_expand,
+)
 from veronese.rationalla import QMatrix, rank_exact
 from veronese.schemes import (
     FatPoint,
@@ -27,6 +33,7 @@ from veronese.schemes import (
     random_point_on_hyperplane,
     random_reduced,
     random_scheme,
+    random_vector,
     reparametrize_jet,
     residual_trace_split,
     scheme_degree,
@@ -167,6 +174,24 @@ def test_span_rank_equals_degree_minus_h1():
         d = rng.randint(2, 4)
         Z = random_scheme(rng, m, rng.randint(2, d + 3), bound=9, kinds=("reduced", "jet"))
         assert rank_exact(span_matrix(Z, d)) == scheme_degree(Z) - h1(Z, d)
+
+
+def test_span_is_conditions_with_multinomial_columns():
+    rng = random.Random(17)
+    for _ in range(10):
+        m = rng.randint(2, 3)
+        d = rng.randint(2, 5)
+        Z = random_scheme(rng, m, rng.randint(2, d + 3), bound=9, kinds=("reduced", "jet"))
+        S, C = span_matrix(Z, d), conditions_matrix(Z, d)
+        mults = [multinomial(d, a) for a in monomial_basis(m, d)]
+        assert S.rows == C.rows == scheme_degree(Z)
+        for i in range(S.rows):
+            assert S.row(i) == [c * x for c, x in zip(mults, C.row(i))]
+
+
+def test_random_vector_refuses_empty_box():
+    with pytest.raises(InputError):
+        random_vector(random.Random(0), 2, 0)
 
 
 def test_proper_subscheme_counts():
