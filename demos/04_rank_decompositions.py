@@ -1,8 +1,9 @@
 """Explicit symmetric-rank decompositions, re-expanded and compared exactly.
 
-Three families: binary forms (the classical kernel algorithm), a jet on a
-line plus extra points (rank d + 2 + s1 - t1), and a tangent vector plus
-points in linearly general position (rank d + t - 2).
+Three families: binary forms (Sylvester's theorem: the rank is r or d+2-r,
+where r is the rank of the middle catalecticant), a jet on a line plus extra
+points (rank d + 2 + s1 - t1), and a tangent vector plus points in linearly
+general position (rank d + t - 2).
 """
 
 from veronese.construct import (

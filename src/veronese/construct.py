@@ -89,35 +89,18 @@ class Certificate:
         return all(c.passed for c in self.claims)
 
 
-PURE_POWER = "L^d"
-TANGENT_SHAPE = "L^(d-1)M"
-QUADRIC_SHAPE = "L^(d-2)Q"
+PURE_POWER = "L^d"  # the JSON shape tag of every summand
 
 
 @dataclass(frozen=True)
 class Summand:
-    shape: str
+    """The term coeff * linear^d of a power-sum decomposition."""
+
     coeff: Fraction
     linear: LinearForm
-    second: Optional[LinearForm] = None
-    quadric: Optional[Form] = None
 
     def expand(self, d: int) -> Form:
-        if self.shape == PURE_POWER:
-            return power_expand(self.linear, d).scale(self.coeff)
-        if self.shape == TANGENT_SHAPE:
-            if self.second is None:
-                raise InputError("tangent summand needs a second linear form")
-            return product_expand([(self.linear, d - 1), (self.second, 1)]).scale(
-                self.coeff
-            )
-        if self.shape == QUADRIC_SHAPE:
-            if self.quadric is None or self.quadric.d != 2:
-                raise InputError("quadric summand needs a degree-2 form")
-            return product_expand([(self.linear, d - 2), (self.quadric, 1)]).scale(
-                self.coeff
-            )
-        raise InputError(f"unknown summand shape {self.shape!r}")
+        return power_expand(self.linear, d).scale(self.coeff)
 
 
 @dataclass(frozen=True)
@@ -322,14 +305,7 @@ def _plus_point_powers(
 
 
 # ---------------------------------------------------------------------------
-# binary forms: apolar kernels, squarefree tests, explicit decompositions
-
-
-def _binary_coeff_list(h: Form) -> list[Fraction]:
-    """Coefficients c_j of y0^(r-j) y1^j, j = 0..r."""
-    if h.m != 1:
-        raise InputError("binary form expected")
-    return list(h.coeffs)
+# binary forms: Sylvester's theorem, apolar kernels, explicit decompositions
 
 
 def _poly_trim(p: list[Fraction]) -> list[Fraction]:
@@ -370,9 +346,9 @@ def _poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
 
 
 def _dehomogenize(h: Form) -> tuple[list[Fraction], int]:
-    """Return (p, a) with h = y0^a * homogenization of p(z), z = y1/y0."""
-    c = _binary_coeff_list(h)
-    p = _poly_trim(c[:])
+    """Return (p, a) with h = y0^a * homogenization of p(z), z = y1/y0; the
+    coefficient of y0^(r-j) y1^j is that of z^j."""
+    p = _poly_trim(list(h.coeffs))
     return p, h.d - (len(p) - 1)
 
 
@@ -384,24 +360,6 @@ def _binary_squarefree(h: Form) -> bool:
         return False
     g = _poly_gcd(p, _poly_deriv(p))
     return len(g) <= 1
-
-
-def _binary_gcd_squarefree(forms: Sequence[Form]) -> bool:
-    """Is the gcd of the given binary forms squarefree?"""
-    polys, y0_mults = [], []
-    for h in forms:
-        p, a = _dehomogenize(h)
-        polys.append(p)
-        y0_mults.append(a)
-    if min(y0_mults) >= 2:
-        return False
-    g = polys[0]
-    for p in polys[1:]:
-        g = _poly_gcd(g, p)
-        if len(g) <= 1:
-            return True
-    gg = _poly_gcd(g, _poly_deriv(g))
-    return len(gg) <= 1
 
 
 def _rational_roots(p: list[Fraction]) -> Optional[list[Fraction]]:
@@ -465,7 +423,8 @@ def _int_poly_deflate(p: list[int], root: Fraction) -> list[int]:
     """Divide by (q z - p_num) after scaling; returns integer coefficients."""
     frac = [Fraction(c) for c in p]
     quot, rem = _poly_divmod(frac, [-root, Fraction(1)])
-    assert not rem
+    if rem:
+        raise InternalInconsistency(f"{root} is not a root of the polynomial")
     denom = 1
     for c in quot:
         denom = denom * c.denominator // gcd(denom, c.denominator)
@@ -517,26 +476,15 @@ def _kernel_candidates(basis: Sequence[Form]):
             yield Form(1, basis[0].d, tuple(acc))
 
 
-def _squarefree_in_kernel(basis: Sequence[Form]) -> Optional[Form]:
-    """A squarefree element of the span, or None when provably none exists.
+def _squarefree_in_kernel(basis: Sequence[Form]) -> Form:
+    """The first squarefree element of the span in `_kernel_candidates` order.
 
-    A single generator is tested directly.  For systems of dimension >= 2
-    whose gcd has a repeated factor no element can be squarefree; otherwise
-    a squarefree element exists and a bounded deterministic search finds one.
+    Only called on the apolar kernel in the Waring-rank degree, which holds a
+    squarefree form by Sylvester's theorem.
     """
-    if not basis:
-        return None
-    if len(basis) == 1:
-        return basis[0] if _binary_squarefree(basis[0]) else None
-    if not _binary_gcd_squarefree(basis):
-        return None
-    count = 0
     for cand in _kernel_candidates(basis):
         if _binary_squarefree(cand):
             return cand
-        count += 1
-        if count > 20000:  # pragma: no cover
-            break
     raise InternalInconsistency(
         "kernel should contain a squarefree form but the search found none"
     )
@@ -547,8 +495,10 @@ class SylvesterResult:
     rank: int
     decomposition: Optional[DecompositionRecord]
     apolar: Form
-    # True/False once a decomposition was requested; None when only the
-    # rank was computed
+    # None when only the rank was computed.  True: a rational decomposition
+    # was found.  False: a proof that none exists when 2 * rank <= d + 1 (the
+    # decomposition is unique); otherwise only that the bounded search found
+    # none.
     splits_over_rationals: Optional[bool]
 
 
@@ -558,52 +508,48 @@ def _split_decomposition(f: Form, roots) -> Optional[DecompositionRecord]:
     sol = membership_solve(rows, f.coeffs)
     if sol is None:
         return None
-    summands = tuple(
-        Summand(PURE_POWER, c, L) for c, L in zip(sol, lins) if c != 0
-    )
+    summands = tuple(Summand(c, L) for c, L in zip(sol, lins) if c != 0)
     if len(summands) != len(lins):
         return None
     return DecompositionRecord(1, f.d, summands, f)
 
 
 def _search_rational_decomposition(f: Form, r: int) -> Optional[DecompositionRecord]:
-    """Look for r distinct small rational points on the line spanning f."""
+    """Look for r distinct small rational points on the line spanning f,
+    among the first 2001 point sets."""
     values = [0, 1, -1, 2, -2, 3, -3, 4, -4, 5, -5]
-    candidates: list[list[tuple[Fraction, Fraction]]] = []
-    for subset in itertools.combinations(values, r):
-        candidates.append([(Fraction(1), Fraction(z)) for z in subset])
-    for subset in itertools.combinations(values, r - 1):
-        candidates.append(
-            [(Fraction(0), Fraction(1))]
-            + [(Fraction(1), Fraction(z)) for z in subset]
-        )
-    for tries, pts in enumerate(candidates):
-        if tries > 2000:
-            break
-        rows = QMatrix.from_rows(
-            [power_expand(LinearForm.make([a, b]), f.d).coeffs for a, b in pts]
-        )
-        if rank_exact(rows) != r:
-            continue
-        sol = membership_solve(rows, f.coeffs)
-        if sol is None or any(c == 0 for c in sol):
-            continue
-        summands = tuple(
-            Summand(PURE_POWER, c, LinearForm.make([a, b]))
-            for c, (a, b) in zip(sol, pts)
-        )
-        return DecompositionRecord(1, f.d, summands, f)
+    affine = (
+        [(Fraction(1), Fraction(z)) for z in subset]
+        for subset in itertools.combinations(values, r)
+    )
+    with_infinity = (
+        [(Fraction(0), Fraction(1))] + [(Fraction(1), Fraction(z)) for z in subset]
+        for subset in itertools.combinations(values, r - 1)
+    )
+    for pts in itertools.islice(itertools.chain(affine, with_infinity), 2001):
+        rec = _split_decomposition(f, pts)
+        if rec is not None:
+            return rec
     return None
 
 
 def sylvester_binary(f: Form, want_decomposition: bool = True) -> SylvesterResult:
-    """Waring rank of a binary form with an explicit decomposition when a
-    witness apolar form with distinct rational roots can be found.
+    """Waring rank of a binary form of degree d, with an explicit
+    decomposition when one over the rationals is found.
 
-    The rank is the least r whose apolar kernel contains a squarefree form
-    (squarefreeness decided exactly via gcd with the derivative).  When no
-    splitting witness is found the rank is returned with a squarefree apolar
-    form as a field-extension marker.
+    Sylvester's theorem: the apolar ideal of f is generated in degrees r and
+    d+2-r, where r <= d+2-r is the rank of the middle catalecticant.  The
+    Waring rank is r when the degree-r generator is squarefree and d+2-r
+    otherwise, and the roots of any squarefree apolar form of that degree (a
+    witness) are the points of a decomposition.  When 2r <= d+1 the degree-r
+    kernel is the generator alone, and the rank-r decomposition is unique
+    (Comas and Seiguer, "On the rank of a binary form", 2011): f splits over
+    the rationals exactly when that witness has distinct rational roots, so
+    ``splits_over_rationals`` False is a proof.  Otherwise the kernel
+    candidates and then a bounded search over small rational points are
+    tried, and False only means that neither found a decomposition.  The
+    returned apolar form is the witness, or the kernel element whose roots
+    gave the decomposition.
     """
     if f.m != 1:
         raise InputError("sylvester_binary needs a binary form")
@@ -612,33 +558,26 @@ def sylvester_binary(f: Form, want_decomposition: bool = True) -> SylvesterResul
     d = f.d
     if d == 1:
         L = LinearForm(1, f.coeffs)
-        rec = DecompositionRecord(1, 1, (Summand(PURE_POWER, Fraction(1), L),), f)
+        rec = DecompositionRecord(1, 1, (Summand(Fraction(1), L),), f)
         return SylvesterResult(1, rec, f, True)
-    for r in range(1, d + 1):
+    r = rank_exact(catalecticant_matrix(f, d // 2))
+    kernel = _apolar_kernel(f, r)
+    if len(kernel) == 1 and not _binary_squarefree(kernel[0]):
+        r = d + 2 - r
         kernel = _apolar_kernel(f, r)
-        if not kernel:
-            continue
-        witness = _squarefree_in_kernel(kernel)
-        if witness is None:
-            continue
-        if not want_decomposition:
-            return SylvesterResult(r, None, witness, None)
-        roots = _binary_projective_roots(witness)
-        if roots is not None:
-            rec = _split_decomposition(f, roots)
-            if rec is not None:
-                return SylvesterResult(r, rec, witness, True)
-        for cand in _kernel_candidates(kernel):
-            roots = _binary_projective_roots(cand)
-            if roots is not None:
-                rec = _split_decomposition(f, roots)
-                if rec is not None:
-                    return SylvesterResult(r, rec, cand, True)
-        rec = _search_rational_decomposition(f, r)
+    witness = _squarefree_in_kernel(kernel)
+    if not want_decomposition:
+        return SylvesterResult(r, None, witness, None)
+    # with a one-element kernel every r-term decomposition lies on the roots
+    # of the witness, so neither the other candidates nor the search can help
+    unique = len(kernel) == 1
+    for cand in [witness] if unique else _kernel_candidates(kernel):
+        roots = _binary_projective_roots(cand)
+        rec = None if roots is None else _split_decomposition(f, roots)
         if rec is not None:
-            return SylvesterResult(r, rec, witness, True)
-        return SylvesterResult(r, None, witness, False)
-    raise InternalInconsistency("binary rank search exceeded degree bound")
+            return SylvesterResult(r, rec, cand, True)
+    rec = None if unique else _search_rational_decomposition(f, r)
+    return SylvesterResult(r, rec, witness, rec is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -960,7 +899,7 @@ def construct_line_jet(
             )
         )
         summands = [
-            Summand(PURE_POWER, c, LinearForm(m, p))
+            Summand(c, LinearForm(m, p))
             for c, p in zip(
                 [c0 * a for a in alphas] + cs, line_pts + [r.point for r in pts]
             )
@@ -1072,7 +1011,7 @@ def construct_tangent_plus_points(
             )
         )
         summands = [
-            Summand(PURE_POWER, c, LinearForm(m, p))
+            Summand(c, LinearForm(m, p))
             for c, p in zip(alphas + mus, line_pts + [r.point for r in pts])
         ]
         try:
@@ -1448,16 +1387,11 @@ def certificate_to_json(cert: Certificate) -> dict:
 
 
 def summand_to_json(s: Summand) -> dict:
-    out = {
-        "shape": s.shape,
+    return {
+        "shape": PURE_POWER,
         "coeff": rat_to_str(s.coeff),
         "linear": [rat_to_str(c) for c in s.linear.coeffs],
     }
-    if s.second is not None:
-        out["second"] = [rat_to_str(c) for c in s.second.coeffs]
-    if s.quadric is not None:
-        out["quadric"] = form_to_json(s.quadric)
-    return out
 
 
 def decomposition_to_json(rec: DecompositionRecord) -> dict:

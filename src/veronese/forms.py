@@ -159,8 +159,7 @@ def _mul_dicts(a: Dict[MultiIndex, Fraction], b: Dict[MultiIndex, Fraction]):
 def product_expand(factors: Iterable[tuple]) -> Form:
     """Exact product of (form_or_linear, exponent) factors.
 
-    Supports the shapes L^(d-1)*M and L^(d-2)*Q used by explicit
-    normal-form decompositions.  All factors must share the same m.
+    All factors must share the same m.
     """
     factors = list(factors)
     if not factors:
@@ -290,6 +289,14 @@ def int_from_json(obj: dict, key: str) -> int:
     return v
 
 
+def list_from_json(x, what: str) -> list:
+    """A JSON array; a string is refused rather than read character by
+    character."""
+    if not isinstance(x, list):
+        raise InputError(f"{what} must be a list, got {x!r}")
+    return x
+
+
 def form_to_json(F: Form) -> dict:
     return {
         "m": F.m,
@@ -302,7 +309,7 @@ def form_to_json(F: Form) -> dict:
 def form_from_json(obj: dict) -> Form:
     try:
         m, d = int_from_json(obj, "m"), int_from_json(obj, "d")
-        coeffs = [rat_from_json(c) for c in obj["coeffs"]]
+        coeffs = [rat_from_json(c) for c in list_from_json(obj["coeffs"], "'coeffs'")]
         order = obj.get("order", "grlex")
     except (KeyError, TypeError) as e:
         raise InputError(f"malformed form JSON: {e}") from None

@@ -36,6 +36,7 @@ from .forms import (
     multinomial,
     power_expand,
     int_from_json,
+    list_from_json,
     rat_from_json,
     rat_to_str,
 )
@@ -44,8 +45,8 @@ from .rationalla import QMatrix, _q, kernel_basis, membership_solve, rank_exact
 Vector = Tuple[Fraction, ...]
 
 
-def _vec_from_json(xs: Sequence) -> Vector:
-    return tuple(rat_from_json(x) for x in xs)
+def _vec_from_json(xs, what: str) -> Vector:
+    return tuple(rat_from_json(x) for x in list_from_json(xs, what))
 
 
 def _dependent(u: Sequence[Fraction], v: Sequence[Fraction]) -> bool:
@@ -717,18 +718,19 @@ def _component_from_json(i: int, obj: dict) -> Component:
     try:
         kind = obj["kind"]
         if kind == "reduced":
-            return Reduced(_vec_from_json(obj["point"]))
+            return Reduced(_vec_from_json(obj["point"], "'point'"))
         if kind == "jet":
-            return Jet(tuple(_vec_from_json(v) for v in obj["curve"]))
+            curve = list_from_json(obj["curve"], "'curve'")
+            return Jet(tuple(_vec_from_json(v, "a curve vector") for v in curve))
         if kind == "fat":
             return FatPoint(
-                _vec_from_json(obj["point"]),
+                _vec_from_json(obj["point"], "'point'"),
                 int_from_json(obj, "multiplicity"),
             )
         if kind == "two_three":
             return TwoThreePoint(
-                _vec_from_json(obj["point"]),
-                _vec_from_json(obj["direction"]),
+                _vec_from_json(obj["point"], "'point'"),
+                _vec_from_json(obj["direction"], "'direction'"),
             )
         raise InputError(f"unknown component kind {kind!r}")
     except (KeyError, TypeError, InputError) as e:

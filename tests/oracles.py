@@ -3,7 +3,9 @@
 These deliberately avoid the library's code paths: rank via plain rational
 Gaussian elimination with pivot normalization, polynomial arithmetic via a
 naive exponent-dictionary convolution, partition counting via the Euler
-recurrence.
+recurrence.  The one exception is the binary Waring-rank search, which must
+pick the same witness as the library and so walks the library's apolar
+kernel bases in its candidate order.
 """
 
 from fractions import Fraction
@@ -116,3 +118,51 @@ def jet_span_rows_oracle(curve, d: int, k: int, m: int):
         alpha = e[: m + 1]
         rows[tdeg][index[alpha]] += c
     return rows
+
+
+def _gcd_squarefree(forms) -> bool:
+    """Is the gcd of the given binary forms squarefree?"""
+    from veronese.construct import _dehomogenize, _poly_deriv, _poly_gcd
+
+    polys, y0_mults = [], []
+    for h in forms:
+        p, a = _dehomogenize(h)
+        polys.append(p)
+        y0_mults.append(a)
+    if min(y0_mults) >= 2:
+        return False
+    g = polys[0]
+    for p in polys[1:]:
+        g = _poly_gcd(g, p)
+        if len(g) <= 1:
+            return True
+    gg = _poly_gcd(g, _poly_deriv(g))
+    return len(gg) <= 1
+
+
+def sylvester_rank_oracle(f):
+    """(rank, witness) of a binary form of degree >= 2 by the search over
+    r = 1..d: the rank is the least r whose apolar kernel holds a squarefree
+    form, skipping kernels of dimension >= 2 whose gcd has a repeated factor;
+    the witness is the first squarefree kernel candidate."""
+    from veronese.construct import (
+        _apolar_kernel,
+        _binary_squarefree,
+        _kernel_candidates,
+    )
+
+    for r in range(1, f.d + 1):
+        kernel = _apolar_kernel(f, r)
+        if not kernel:
+            continue
+        if len(kernel) == 1:
+            if _binary_squarefree(kernel[0]):
+                return r, kernel[0]
+            continue
+        if not _gcd_squarefree(kernel):
+            continue
+        for cand in _kernel_candidates(kernel):
+            if _binary_squarefree(cand):
+                return r, cand
+        raise AssertionError("kernel with squarefree gcd but no squarefree candidate")
+    raise AssertionError("no squarefree apolar form up to degree d")

@@ -120,6 +120,8 @@ def test_exit_2_on_malformed_json(tmp_path, capsys):
         ("sylvester", json.dumps({"m": 1, "d": 2.9, "coeffs": ["1", "0", "1"]})),
         ("sylvester", json.dumps({"m": 1, "d": 2, "coeffs": [0.5, "0", "1"]})),
         ("sylvester", json.dumps({"m": 1, "d": 2, "coeffs": [True, "0", "1"]})),
+        # a string is not read character by character as a list
+        ("sylvester", json.dumps({"m": 1, "d": 2, "coeffs": "101"})),
     ]
     p = tmp_path / "bad.json"
     for command, text in cases:
@@ -138,6 +140,12 @@ def test_exit_2_on_invariant_violation(tmp_path, capsys):
         {"kind": "fat", "point": ["1", "0", "0"], "multiplicity": 2.7},
         {"kind": "fat", "point": ["1", "0", "0"], "multiplicity": True},
         {"kind": "reduced", "point": [0.5, 1, 0]},
+        {"kind": "reduced", "point": "100"},
+        {"kind": "fat", "point": "100", "multiplicity": 2},
+        {"kind": "two_three", "point": "100", "direction": ["0", "1", "0"]},
+        {"kind": "two_three", "point": ["1", "0", "0"], "direction": "010"},
+        {"kind": "jet", "curve": "100010"},
+        {"kind": "jet", "curve": ["100", "010"]},
     ]
     p = tmp_path / "scheme.json"
     for comp in cases:

@@ -6,7 +6,6 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from veronese.construct import (
-    PURE_POWER,
     DecompositionRecord,
     Summand,
     _exclusion_claim,
@@ -45,6 +44,8 @@ from veronese.schemes import (
 )
 from veronese.strata import StratumLabel
 
+from oracles import sylvester_rank_oracle
+
 F = Fraction
 
 
@@ -67,20 +68,14 @@ def test_decomposition_verifies_on_construction():
     rec = DecompositionRecord(
         1,
         3,
-        (Summand(PURE_POWER, F(1), L1), Summand(PURE_POWER, F(5), L2)),
+        (Summand(F(1), L1), Summand(F(5), L2)),
         target,
     )
     assert rec.size == 2 and rec.expand() == target
     with pytest.raises(InputError):
         DecompositionRecord(
-            1, 3, (Summand(PURE_POWER, F(2), L1),), target
+            1, 3, (Summand(F(2), L1),), target
         )
-
-
-def test_tangent_shape_summand():
-    L, M = LinearForm.make([1, 0, 0]), LinearForm.make([0, 1, 1])
-    s = Summand("L^(d-1)M", F(3), L, second=M)
-    assert s.expand(5) == product_expand([(L, 4), (M, 1)]).scale(3)
 
 
 # --- sylvester ------------------------------------------------------------
@@ -129,19 +124,77 @@ def test_sylvester_invariant_under_substitution():
 
 
 def test_sylvester_irrational_witness_marker():
-    # x0^5 + x1^5 + (x0+x1)^5 generically needs kernel roots that may be
-    # irrational; whatever happens, rank and any decomposition must verify.
+    # rank 3 with 2 * 3 <= 5 + 1: the decomposition is unique, so it must
+    # split on exactly the three given points
     f = (
         power_expand(LinearForm.make([1, 0]), 5)
         + power_expand(LinearForm.make([0, 1]), 5)
         + power_expand(LinearForm.make([1, 1]), 5)
     )
     res = sylvester_binary(f)
+    assert res.rank == 3 and res.splits_over_rationals is True
+    terms = {(s.linear.coeffs, s.coeff) for s in res.decomposition.summands}
+    assert terms == {((1, 0), 1), ((0, 1), 1), ((1, 1), 1)}
+
+
+def test_sylvester_unique_case_irreducible_witness():
+    # (x0 + i x1)^5 + (x0 - i x1)^5 + x1^5: rank 3 with 2 * 3 <= 5 + 1, and
+    # its unique witness has the factor y0^2 + y1^2, irreducible over Q
+    f = Form.from_coeffs(1, 5, [2, 0, -20, 0, 10, 1])
+    res = sylvester_binary(f)
     assert res.rank == 3
-    if res.decomposition is not None:
-        assert res.decomposition.expand() == f
-    else:
-        assert not res.splits_over_rationals
+    assert res.splits_over_rationals is False and res.decomposition is None
+
+
+@st.composite
+def binary_forms(draw):
+    """A binary form of degree 2..10: small random coefficients, a sum of k
+    distinct rational d-th powers with nonzero coefficients, or a product
+    L^(d-j) M^j (for independent L, M and 2j != d its least-degree apolar
+    generator is a power, so the rank is d+2-r rather than r)."""
+    d = draw(st.integers(2, 10))
+    small = st.integers(-3, 3)
+    linear = st.tuples(small, small).filter(lambda p: p != (0, 0))
+    family = draw(st.sampled_from(("coeffs", "powers", "product")))
+    if family == "coeffs":
+        coeffs = draw(st.lists(small, min_size=d + 1, max_size=d + 1))
+        assume(any(coeffs))
+        return Form.from_coeffs(1, d, coeffs)
+    if family == "product":
+        L, M = draw(linear), draw(linear)
+        j = draw(st.integers(1, d - 1))
+        return product_expand(
+            [(LinearForm.make(list(L)), d - j), (LinearForm.make(list(M)), j)]
+        )
+    k = draw(st.integers(1, d))
+    pts = draw(
+        st.lists(
+            linear,
+            min_size=k,
+            max_size=k,
+            unique_by=lambda p: F(p[1], p[0]) if p[0] else None,
+        )
+    )
+    nonzero = st.sampled_from([F(1), F(-1), F(2), F(-3), F(1, 2)])
+    f = Form.from_coeffs(1, d, [0] * (d + 1))
+    for p in pts:
+        f = f + power_expand(LinearForm.make(list(p)), d).scale(draw(nonzero))
+    assume(not f.is_zero())
+    return f
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@given(binary_forms())
+def test_sylvester_rank_matches_oracle(f):
+    res = sylvester_binary(f, want_decomposition=False)
+    assert (res.rank, res.apolar) == sylvester_rank_oracle(f)
+    assert res.decomposition is None and res.splits_over_rationals is None
 
 
 # --- flattening and certify ------------------------------------------------
