@@ -28,10 +28,9 @@ from .errors import (
 from .forms import (
     Form,
     LinearForm,
-    apply_diff,
+    _contraction_rows,
     catalecticant_matrix,
     form_to_json,
-    monomial_basis,
     power_expand,
     product_expand,
     rat_to_str,
@@ -48,6 +47,7 @@ from .schemes import (
     Reduced,
     SchemeSpec,
     TwoThreePoint,
+    _dependent,
     h1,
     lgp_check,
     random_fat_point,
@@ -260,7 +260,7 @@ def _sample_jet_on_line(
     """
     Q0 = random_vector(rng, m, bound)
     V = random_vector(rng, m, bound)
-    if rank_exact(QMatrix.from_rows([Q0, V])) != 2:
+    if _dependent(Q0, V):
         return None
     zero = tuple(Fraction(0) for _ in range(m + 1))
     jet = Jet((Q0, V) + (zero,) * (k - 2))
@@ -450,8 +450,7 @@ def _binary_projective_roots(h: Form) -> Optional[list[tuple[Fraction, Fraction]
 
 def _apolar_kernel(f: Form, r: int) -> list[Form]:
     """Degree-r forms h with h(d/dx) f = 0, as a deterministic basis."""
-    rows = [apply_diff(gamma, f).coeffs for gamma in monomial_basis(1, r)]
-    K = QMatrix.from_rows(rows)
+    K = QMatrix.from_rows(_contraction_rows(f, r))
     return [Form(1, r, tuple(v)) for v in kernel_basis(K.transpose())]
 
 

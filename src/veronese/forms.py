@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm
+from operator import add
 from typing import Dict, Iterable, Sequence, Tuple
 
 from .errors import InputError
@@ -133,18 +134,74 @@ class Form:
         return Form(self.m, self.d, tuple(s * c for c in self.coeffs))
 
 
+def _clear_denominators(vectors: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
+    """Integer numerators over one common denominator D: x == n / D for
+    every entry x and its numerator n."""
+    D = 1
+    for v in vectors:
+        for x in v:
+            D = lcm(D, x.denominator)
+    return [[x.numerator * (D // x.denominator) for x in v] for v in vectors], D
+
+
+def _tmul(a: Sequence, b: Sequence, cap: int) -> list:
+    """Product of two power series in t, truncated to t^0..t^(cap-1)."""
+    out = [0] * cap
+    for i, ai in enumerate(a[:cap]):
+        if ai:
+            for j, bj in enumerate(b[: cap - i]):
+                out[i + j] += ai * bj
+    return out
+
+
+def _monomial_series(series: Sequence[Sequence[int]], d: int, cap: int) -> list[list[int]]:
+    """[t^j] prod_i s_i(t)^beta_i for j < cap, one list per beta in
+    monomial_basis(m, d), from integer series s_0..s_m.
+
+    Each s_i^e (e <= d, truncated) is tabulated once; the basis is walked
+    coordinate by coordinate in its own order, so a column costs one
+    truncated product per coordinate and columns with a common prefix of
+    exponents share those products.
+    """
+    m = len(series) - 1
+    tables = []
+    for s in series:
+        tab = [[1] + [0] * (cap - 1)]
+        for _ in range(d):
+            tab.append(_tmul(tab[-1], s, cap))
+        tables.append(tab)
+    out: list[list[int]] = []
+
+    def walk(i: int, deg: int, acc: list[int]) -> None:
+        if i == m:
+            out.append(_tmul(acc, tables[m][deg], cap))
+            return
+        for e in range(deg, -1, -1):
+            walk(i + 1, deg - e, _tmul(acc, tables[i][e], cap))
+
+    walk(0, d, tables[0][0])  # s^0 = 1
+    return out
+
+
 def power_expand(L: LinearForm, d: int) -> Form:
-    """L^d by multinomial expansion; the degree-d embedding of the point L."""
+    """L^d by multinomial expansion; the degree-d embedding of the point L.
+
+    Coefficient of x^alpha: multinomial(d, alpha) * prod_i c_i^alpha_i,
+    computed on the numerators n_i = c_i * D and divided by D^d once.
+    """
     if d < 1:
         raise InputError("power_expand needs d >= 1")
-    coeffs = []
-    for alpha in monomial_basis(L.m, d):
-        c = Fraction(multinomial(d, alpha))
-        for ci, ai in zip(L.coeffs, alpha):
-            if ai:
-                c *= ci**ai
-        coeffs.append(c)
-    return Form(L.m, d, tuple(coeffs))
+    (nums,), D = _clear_denominators([L.coeffs])
+    den = D**d
+    cols = _monomial_series([[n] for n in nums], d, 1)
+    return Form(
+        L.m,
+        d,
+        tuple(
+            Fraction(multinomial(d, alpha) * col[0], den)
+            for alpha, col in zip(monomial_basis(L.m, d), cols)
+        ),
+    )
 
 
 def _mul_dicts(a: Dict[MultiIndex, Fraction], b: Dict[MultiIndex, Fraction]):
@@ -223,17 +280,47 @@ def evaluate(F: Form, point: Sequence) -> Fraction:
     return total
 
 
+def _contraction_rows(F: Form, a: int) -> list[list[Fraction]]:
+    """Rows d^gamma F for gamma in the degree-a basis (0 <= a <= d), over
+    the degree-(d-a) basis, read off F's coefficients by direct indexing:
+    entry (gamma, beta) = f[gamma+beta] * prod_i (gamma_i+beta_i)! / beta_i!.
+    """
+    m, d = F.m, F.d
+    (nums,), D = _clear_denominators([F.coeffs])
+    fact = [factorial(k) for k in range(d + 1)]
+
+    def weight(alpha: MultiIndex) -> int:
+        w = 1
+        for x in alpha:
+            w *= fact[x]
+        return w
+
+    # f[alpha] * prod_i alpha_i! on numerators; dividing by prod_i beta_i!
+    # is exact because beta <= alpha coordinatewise.
+    weighted = [n * weight(alpha) for n, alpha in zip(nums, monomial_basis(m, d))]
+    index = monomial_index(m, d)
+    cols = [(beta, weight(beta)) for beta in monomial_basis(m, d - a)]
+    return [
+        [
+            Fraction(weighted[index[tuple(map(add, gamma, beta))]] // wb, D)
+            for beta, wb in cols
+        ]
+        for gamma in monomial_basis(m, a)
+    ]
+
+
 def catalecticant_matrix(F: Form, a: int) -> QMatrix:
     """Contraction pairing of degree-a differential operators against F.
 
     Rows are indexed by the degree-a monomial basis (as operators), columns
-    by the degree-(d-a) basis.  Its rank is a lower bound for the border
-    rank of F and never exceeds the size of any power-sum decomposition.
+    by the degree-(d-a) basis; entry (gamma, beta) is the coefficient of
+    x^beta in d^gamma F, f[gamma+beta] * prod_i (gamma_i+beta_i)! / beta_i!.
+    Its rank is a lower bound for the border rank of F and never exceeds
+    the size of any power-sum decomposition.
     """
     if not 1 <= a <= F.d - 1:
         raise InputError("catalecticant needs 1 <= a <= d-1")
-    rows = [apply_diff(gamma, F).coeffs for gamma in monomial_basis(F.m, a)]
-    return QMatrix.from_rows(rows)
+    return QMatrix.from_rows(_contraction_rows(F, a))
 
 
 def substitute(F: Form, images: Sequence[LinearForm]) -> Form:

@@ -25,22 +25,30 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, factorial, prod
 from typing import Dict, List, Sequence, Tuple, Union
 
 from .errors import InputError, UnsupportedComponentError
 from .forms import (
-    LinearForm,
     MultiIndex,
+    _clear_denominators,
+    _monomial_series,
+    _tmul,
     monomial_basis,
     multinomial,
-    power_expand,
     int_from_json,
     list_from_json,
     rat_from_json,
     rat_to_str,
 )
-from .rationalla import QMatrix, _q, kernel_basis, membership_solve, rank_exact
+from .rationalla import (
+    QMatrix,
+    _integer_row,
+    _q,
+    kernel_basis,
+    membership_solve,
+    rank_exact,
+)
 
 Vector = Tuple[Fraction, ...]
 
@@ -50,7 +58,9 @@ def _vec_from_json(xs, what: str) -> Vector:
 
 
 def _dependent(u: Sequence[Fraction], v: Sequence[Fraction]) -> bool:
-    return rank_exact(QMatrix.from_rows([u, v])) <= 1
+    """Rank of (u; v) is at most 1: every 2x2 minor u_i v_j - u_j v_i is 0."""
+    n = len(u)
+    return all(u[i] * v[j] == u[j] * v[i] for i in range(n) for j in range(i + 1, n))
 
 
 @dataclass(frozen=True)
@@ -64,6 +74,11 @@ class Reduced:
     @property
     def support(self) -> Vector:
         return self.point
+
+    @property
+    def curve(self) -> tuple[Vector]:
+        """The constant germ c(t) = point: a reduced point is a length-1 jet."""
+        return (self.point,)
 
     def degree(self, m: int) -> int:
         return 1
@@ -185,60 +200,34 @@ def scheme_degree(Z: SchemeSpec) -> int:
 
 
 # ---------------------------------------------------------------------------
-# truncated power series in the jet parameter t
+# matrix builders: integer power tables, one division per entry
 
 
-def _tmul(a: List[Fraction], b: List[Fraction], cap: int) -> List[Fraction]:
-    out = [Fraction(0)] * cap
-    for i, ai in enumerate(a):
-        if ai == 0 or i >= cap:
-            continue
-        for j, bj in enumerate(b):
-            if i + j >= cap:
-                break
-            if bj != 0:
-                out[i + j] += ai * bj
-    return out
+def _jet_block(m: int, curve: Sequence[Vector], d: int) -> tuple[list[list[int]], int]:
+    """Integer numerators and common denominator D^d of the jet's conditions
+    rows over the degree-d basis, j < len(curve):
 
+        entry (j, beta) = [t^j] prod_i c_i(t)^beta_i,
 
-def _monomial_on_curve(beta: MultiIndex, curve: Sequence[Vector], cap: int):
-    """Coefficients of t^0..t^(cap-1) in prod_i (coordinate_i(t))^beta_i."""
-    out = [Fraction(0)] * cap
-    out[0] = Fraction(1)
-    for i, b in enumerate(beta):
-        if b == 0:
-            continue
-        coord = [cv[i] for cv in curve]
-        for _ in range(b):
-            out = _tmul(out, coord, cap)
-    return out
-
-
-def _jet_block(m: int, curve: Sequence[Vector], length: int, d: int):
-    """Rows [t^j] c(t)^beta for j < length over the degree-d basis: the jet's
-    conditions.  Scaling column beta by multinomial(d, beta) turns them into
-    the span rows [t^j] (c(t).x)^d, so both matrices have the same rank."""
-    basis = monomial_basis(m, d)
-    rows = [[Fraction(0)] * len(basis) for _ in range(length)]
-    for col, beta in enumerate(basis):
-        tp = _monomial_on_curve(beta, curve, length)
-        for j in range(length):
-            rows[j][col] = tp[j]
-    return rows
+    c_i(t) = sum_s curve[s][i] t^s, computed from per-coordinate tables of
+    the numerator series D c_i(t).  Scaling column beta by multinomial(d,
+    beta) turns them into the span rows [t^j] (c(t).x)^d, so both matrices
+    have the same rank.
+    """
+    nums, D = _clear_denominators(curve)
+    series = [[v[i] for v in nums] for i in range(m + 1)]
+    cols = _monomial_series(series, d, len(curve))
+    return [[col[j] for col in cols] for j in range(len(curve))], D**d
 
 
 def _span_block(m: int, comp: Component, d: int):
-    if isinstance(comp, Reduced):
-        return [list(power_expand(LinearForm(m, comp.point), d).coeffs)]
-    if isinstance(comp, Jet):
-        mults = [multinomial(d, alpha) for alpha in monomial_basis(m, d)]
-        return [
-            [c * x for c, x in zip(mults, row)]
-            for row in _jet_block(m, comp.curve, comp.length, d)
-        ]
-    raise UnsupportedComponentError(
-        f"span is defined for curvilinear components only, got {type(comp).__name__}"
-    )
+    if not isinstance(comp, (Reduced, Jet)):
+        raise UnsupportedComponentError(
+            f"span is defined for curvilinear components only, got {type(comp).__name__}"
+        )
+    rows, den = _jet_block(m, comp.curve, d)
+    mults = [multinomial(d, beta) for beta in monomial_basis(m, d)]
+    return [[Fraction(c * v, den) for c, v in zip(mults, row)] for row in rows]
 
 
 def span_matrix(Z: SchemeSpec, d: int) -> QMatrix:
@@ -264,30 +253,40 @@ def _chart_index(point: Vector) -> int:
 
 def _fat_condition_block(m: int, point: Vector, k: int, d: int):
     """Derivative functionals of order < k at the point, taken in the affine
-    chart where the largest coordinate is normalized to 1."""
+    chart where the largest coordinate is normalized to 1.
+
+    gamma ranges over exponents with gamma_chart = 0 and |gamma| < k.  With
+    p the primitive integer vector of the point and c the chart,
+
+        entry (gamma, beta) = prod_i beta_i! / (beta_i - gamma_i)!
+                              * p_i^(beta_i - gamma_i) / p_c^(d - |gamma|),
+
+    zero unless gamma <= beta; the factors come from one table per
+    coordinate.
+    """
     chart = _chart_index(point)
-    pt = tuple(c / point[chart] for c in point)
+    p = _integer_row(point)
+    fact = [factorial(e) for e in range(d + 1)]
+    tables = [
+        [
+            [fact[b] // fact[b - g] * x ** (b - g) if b >= g else 0 for b in range(d + 1)]
+            for g in range(k)
+        ]
+        for x in p
+    ]
     basis = monomial_basis(m, d)
     rows = []
-    # gamma ranges over exponents on the m non-chart variables, |gamma| < k.
     for j in range(k):
-        for gam_red in monomial_basis(m - 1, j) if m >= 1 else ():
-            gamma = list(gam_red[:chart]) + [0] + list(gam_red[chart:])
-            row = []
-            for beta in basis:
-                if any(b < g for b, g in zip(beta, gamma)):
-                    row.append(Fraction(0))
-                    continue
-                fac = 1
-                for b, g in zip(beta, gamma):
-                    for s in range(g):
-                        fac *= b - s
-                val = Fraction(fac)
-                for p, b, g in zip(pt, beta, gamma):
-                    if b - g:
-                        val *= p ** (b - g)
-                row.append(val)
-            rows.append(row)
+        den = p[chart] ** max(d - j, 0)  # rows with j > d are zero
+        for gam_red in monomial_basis(m - 1, j):
+            gamma = gam_red[:chart] + (0,) + gam_red[chart:]
+            factors = [tab[g] for tab, g in zip(tables, gamma)]
+            rows.append(
+                [
+                    Fraction(prod(f[b] for f, b in zip(factors, beta)), den)
+                    for beta in basis
+                ]
+            )
     return rows
 
 
@@ -357,18 +356,9 @@ def conditions_matrix(Z: SchemeSpec, d: int) -> QMatrix:
     ncols = comb(Z.m + d, Z.m)
     rows: list = []
     for comp in Z.components:
-        if isinstance(comp, Reduced):
-            basis = monomial_basis(Z.m, d)
-            row = []
-            for beta in basis:
-                v = Fraction(1)
-                for p, b in zip(comp.point, beta):
-                    if b:
-                        v *= p**b
-                row.append(v)
-            rows.append(row)
-        elif isinstance(comp, Jet):
-            rows.extend(_jet_block(Z.m, comp.curve, comp.length, d))
+        if isinstance(comp, (Reduced, Jet)):
+            nums, den = _jet_block(Z.m, comp.curve, d)
+            rows.extend([Fraction(v, den) for v in row] for row in nums)
         elif isinstance(comp, FatPoint):
             rows.extend(_fat_condition_block(Z.m, comp.point, comp.multiplicity, d))
         elif isinstance(comp, TwoThreePoint):
@@ -502,12 +492,7 @@ def lgp_check(Z: SchemeSpec) -> bool:
     target = m + 1
     if sum(caps) < target:
         return True
-    blocks = []
-    for comp in Z.components:
-        if isinstance(comp, Reduced):
-            blocks.append([list(comp.point)])
-        else:
-            blocks.append([list(v) for v in comp.curve])
+    blocks = [[list(v) for v in comp.curve] for comp in Z.components]
 
     def rec(i: int, remaining: int, rows: list) -> bool:
         if remaining == 0:

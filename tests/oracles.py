@@ -105,7 +105,8 @@ def jet_span_rows_oracle(curve, d: int, k: int, m: int):
                 lin[e] = lin.get(e, Fraction(0)) + Fraction(cv[i])
     acc = {tuple([0] * nvars): Fraction(1)}
     for _ in range(d):
-        acc = naive_poly_mul(acc, lin)
+        # t-degrees only grow, so terms of t-degree >= k never come back
+        acc = {e: c for e, c in naive_poly_mul(acc, lin).items() if e[-1] < k}
     from veronese.forms import monomial_basis
 
     basis = monomial_basis(m, d)
@@ -117,6 +118,52 @@ def jet_span_rows_oracle(curve, d: int, k: int, m: int):
             continue
         alpha = e[: m + 1]
         rows[tdeg][index[alpha]] += c
+    return rows
+
+
+def _naive_partial(terms: dict, gamma) -> dict:
+    """d^gamma of an exponent-dict polynomial, one variable at a time."""
+    for var, g in enumerate(gamma):
+        for _ in range(g):
+            terms = naive_diff(terms, var)
+    return terms
+
+
+def catalecticant_oracle(terms: dict, m: int, d: int, a: int):
+    """Rows d^gamma F, gamma over the degree-a basis, as coefficient lists
+    over the degree-(d-a) basis; F given as an exponent dict."""
+    from veronese.forms import monomial_basis
+
+    return [
+        poly_dict_to_coeffs(_naive_partial(terms, gamma), m, d - a)
+        for gamma in monomial_basis(m, a)
+    ]
+
+
+def fat_point_rows_oracle(point, k: int, m: int, d: int):
+    """Derivative functionals of order < k at a point: each monomial x^beta
+    of degree d differentiated by d^gamma and evaluated at point / point[c],
+    c the first coordinate of largest absolute value.  gamma runs over
+    exponents with gamma_c = 0, by |gamma| and then in grlex order of the
+    other coordinates."""
+    from veronese.forms import monomial_basis
+
+    pt = [Fraction(x) for x in point]
+    c = max(range(m + 1), key=lambda i: (abs(pt[i]), -i))
+    pt = [x / pt[c] for x in pt]
+    rows = []
+    for j in range(k):
+        for rest in monomial_basis(m - 1, j):
+            gamma = rest[:c] + (0,) + rest[c:]
+            row = []
+            for beta in monomial_basis(m, d):
+                value = Fraction(0)
+                for e, coeff in _naive_partial({beta: Fraction(1)}, gamma).items():
+                    for x, ei in zip(pt, e):
+                        coeff *= x**ei
+                    value += coeff
+                row.append(value)
+            rows.append(row)
     return rows
 
 

@@ -3,12 +3,21 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
-from oracles import naive_diff, naive_power, naive_poly_mul, poly_dict_to_coeffs
+from oracles import (
+    catalecticant_oracle,
+    naive_diff,
+    naive_power,
+    naive_poly_mul,
+    poly_dict_to_coeffs,
+)
 from veronese.errors import InputError
 from veronese.forms import (
     Form,
     LinearForm,
+    _contraction_rows,
     apply_diff,
     catalecticant_matrix,
     evaluate,
@@ -40,19 +49,27 @@ def test_power_expand_monomial_and_binomial():
     F = power_expand(LinearForm.make([1, 0]), 4)
     assert F.coeff((4, 0)) == 1 and sum(1 for c in F.coeffs if c != 0) == 1
     assert list(power_expand(LinearForm.make([1, 1]), 2).coeffs) == [1, 2, 1]
-
-
-def test_power_expand_against_symbolic_oracle():
     assert list(power_expand(LinearForm.make([1, 2]), 3).coeffs) == [1, 6, 12, 8]
-    rng = random.Random(4)
-    for _ in range(15):
-        m = rng.randint(1, 3)
-        d = rng.randint(1, 5)
-        coeffs = [rng.randint(-9, 9) for _ in range(m + 1)]
-        if all(c == 0 for c in coeffs):
-            continue
-        expected = poly_dict_to_coeffs(naive_power(coeffs, d), m, d)
-        assert list(power_expand(LinearForm.make(coeffs), d).coeffs) == expected
+
+
+# Coordinates: integers, or rationals with small denominators and either sign.
+coordinates = st.integers(-9, 9) | st.fractions(-9, 9, max_denominator=7)
+
+SETTINGS = settings(
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+
+
+@SETTINGS
+@given(st.integers(1, 3), st.integers(1, 10), st.data())
+def test_power_expand_against_symbolic_oracle(m, d, data):
+    coeffs = data.draw(st.lists(coordinates, min_size=m + 1, max_size=m + 1))
+    assume(any(coeffs))
+    expected = poly_dict_to_coeffs(naive_power(coeffs, d), m, d)
+    assert list(power_expand(LinearForm.make(coeffs), d).coeffs) == expected
 
 
 def test_power_expand_projective_scaling():
@@ -119,6 +136,19 @@ def test_apply_diff_commutes():
         a, b = (1, 0, 1), (0, 2, 0)
         ab = tuple(x + y for x, y in zip(a, b))
         assert apply_diff(a, apply_diff(b, F)) == apply_diff(ab, F)
+
+
+@SETTINGS
+@given(st.integers(1, 3), st.integers(2, 8), st.data())
+def test_catalecticant_against_naive_diff_oracle(m, d, data):
+    """Every contraction order 1 <= a <= d-1, and a = d (the apolar-kernel
+    rows of a binary form's degree-d operators), on rational coefficients."""
+    n = comb(m + d, m)
+    coeffs = data.draw(st.lists(st.just(0) | coordinates, min_size=n, max_size=n))
+    F = Form.from_coeffs(m, d, coeffs)
+    for a in range(1, d):
+        assert catalecticant_matrix(F, a).to_rows() == catalecticant_oracle(F.terms(), m, d, a)
+    assert _contraction_rows(F, d) == catalecticant_oracle(F.terms(), m, d, d)
 
 
 def test_catalecticant_pure_power_rank_one():

@@ -3,8 +3,10 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
 
-from oracles import jet_span_rows_oracle
+from oracles import fat_point_rows_oracle, jet_span_rows_oracle, naive_rank
 from veronese.errors import InputError, UnsupportedComponentError
 from veronese.forms import (
     LinearForm,
@@ -21,6 +23,7 @@ from veronese.schemes import (
     Reduced,
     SchemeSpec,
     TwoThreePoint,
+    _dependent,
     castelnuovo_check,
     conditions_matrix,
     h1,
@@ -104,16 +107,45 @@ def test_span_jet2_rows_are_power_and_tangent():
     assert S.row(1) == list(product_expand([(LQ, d - 1), (LV, 1)]).scale(d).coeffs)
 
 
-def test_span_jet_rows_match_symbolic_oracle():
-    rng = random.Random(12)
-    for _ in range(6):
-        m = rng.randint(1, 2)
-        k = rng.randint(2, 4)
-        d = rng.randint(2, 4)
-        jet = random_jet_on_conic(rng, m, 7, k) if m == 2 else random_jet_on_line(rng, m, 7, k)
-        S = span_matrix(SchemeSpec(m, (jet,)), d)
-        oracle = jet_span_rows_oracle(jet.curve, d, k, m)
-        assert S.to_rows() == oracle
+# Coordinates: integers, or rationals with small denominators and either sign.
+coordinates = st.integers(-9, 9) | st.fractions(-9, 9, max_denominator=7)
+
+SETTINGS = settings(
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+
+
+def vectors(m):
+    return st.lists(coordinates.map(F), min_size=m + 1, max_size=m + 1).map(tuple)
+
+
+@st.composite
+def jets(draw, m):
+    """A jet of length 2..4 with rational coordinates: on a line, on a
+    conic, or a general germ with its parameter t replaced by u t + v t^2."""
+    k = draw(st.integers(2, 4))
+    kind = draw(st.sampled_from(("line", "conic", "reparametrized")))
+    zero = (F(0),) * (m + 1)
+    c0, c1 = draw(vectors(m)), draw(vectors(m))
+    assume(any(c0) and not _dependent(c0, c1))
+    if kind == "line":
+        return Jet((c0, c1) + (zero,) * (k - 2))
+    if kind == "conic":
+        return Jet(((c0, c1, draw(vectors(m))) + (zero,) * k)[:k])
+    jet = Jet((c0, c1) + tuple(draw(vectors(m)) for _ in range(k - 2)))
+    u = draw(coordinates.filter(bool))
+    return reparametrize_jet(jet, u, draw(coordinates))
+
+
+@SETTINGS
+@given(st.integers(1, 3), st.integers(1, 10), st.data())
+def test_span_jet_rows_match_symbolic_oracle(m, d, data):
+    jet = data.draw(jets(m))
+    S = span_matrix(SchemeSpec(m, (jet,)), d)
+    assert S.to_rows() == jet_span_rows_oracle(jet.curve, d, jet.length, m)
 
 
 def test_span_conic_jet3_rank3():
@@ -146,6 +178,32 @@ def test_conditions_double_point_explicit():
     assert d1_row == [1 if a == (2, 1, 0) else 0 for a in basis]
     assert d2_row == [1 if a == (2, 0, 1) else 0 for a in basis]
     assert rank_exact(M) == 3
+
+
+@SETTINGS
+@given(
+    st.integers(1, 3).flatmap(lambda m: st.tuples(st.just(m), vectors(m))),
+    st.integers(2, 3),
+    st.integers(1, 7),
+)
+@example((2, frac(F(1, 2), F(-7, 3), 2)), 3, 4)
+@example((3, frac(F(-5, 4), 1, F(-1, 3), F(5, 4))), 2, 5)
+def test_fat_point_rows_match_oracle(point_in, k, d):
+    """Negative and rational chart coordinates included; in the second
+    example two coordinates tie for the largest, so the first is the chart."""
+    m, point = point_in
+    assume(any(point))
+    M = conditions_matrix(SchemeSpec(m, (FatPoint(point, k),)), d)
+    assert M.to_rows() == fat_point_rows_oracle(point, k, m, d)
+
+
+@SETTINGS
+@given(st.integers(1, 3).flatmap(lambda m: st.tuples(vectors(m), vectors(m))))
+def test_dependent_is_rank_at_most_one(pair):
+    u, v = pair
+    lam = F(-3, 2)
+    assert _dependent(u, v) == (naive_rank(QMatrix.from_rows([u, v])) <= 1)
+    assert _dependent(u, tuple(lam * x for x in u))
 
 
 def test_collinear_points_superabundance():
