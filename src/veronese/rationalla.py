@@ -1,8 +1,16 @@
 """Exact linear algebra over arbitrary-precision rationals.
 
-Rank is computed by fraction-free (Bareiss) elimination after clearing
-denominators row by row, so all intermediate arithmetic is on integers.
-Kernels and membership solving use rational Gauss-Jordan elimination.
+Every elimination runs on integers only: each row is first scaled to a
+primitive integer row, which changes neither the row space nor the solution
+set of a system whose equations are the rows.  Rank is computed by
+fraction-free (Bareiss) elimination.  Kernels and membership solving use
+fraction-free Gauss-Jordan elimination (Nakos, Turner & Williams 1997), the
+Bareiss update applied to the rows above the pivot as well: every entry stays
+a minor of the input, so each division by the previous pivot is exact, and
+at the end every pivot entry equals the last pivot, so the reduced row
+echelon form is each row divided by its own pivot entry.  That form is
+unique, so kernels and solutions are the same rationals that elimination
+over Q gives; a Fraction is built only for an output entry.
 Pivoting is always "first nonzero entry in column order", which makes every
 result reproducible bit for bit.
 
@@ -102,10 +110,8 @@ def _integer_row(row: Sequence[Fraction]) -> list[int]:
     denom = 1
     for x in row:
         denom = lcm(denom, x.denominator)
-    ints = [int(x * denom) for x in row]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
+    ints = [x.numerator * (denom // x.denominator) for x in row]
+    g = gcd(*ints)
     if g > 1:
         ints = [v // g for v in ints]
     return ints
@@ -144,12 +150,17 @@ def rank_exact(M: QMatrix) -> int:
     return r
 
 
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot column list)."""
+def _rref(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan in place; returns (rows, pivot columns).
+
+    Entry (r, c) of the reduced row echelon form is
+    rows[r][c] / rows[r][pivots[r]].
+    """
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     pivots: list[int] = []
     r = 0
+    prev = 1
     for c in range(ncols):
         piv = None
         for i in range(r, nrows):
@@ -159,12 +170,19 @@ def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
+        rr = rows[r]
+        p = rr[c]
         for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+            if i == r:
+                continue
+            f = rows[i][c]
+            # Rows with f = 0 are rescaled too: every entry stays a minor of
+            # the input, so no integer outgrows the determinant bound.
+            if f:
+                rows[i] = [(p * a - f * b) // prev for a, b in zip(rows[i], rr)]
+            else:
+                rows[i] = [p * a // prev for a in rows[i]]
+        prev = p
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -182,7 +200,7 @@ def kernel_basis(M: QMatrix) -> list[list[Fraction]]:
         return [
             [Fraction(int(i == j)) for i in range(M.cols)] for j in range(M.cols)
         ]
-    rows, pivots = _rref(M.to_rows())
+    rows, pivots = _rref([_integer_row(M.row(i)) for i in range(M.rows)])
     pivot_set = set(pivots)
     free = [c for c in range(M.cols) if c not in pivot_set]
     basis = []
@@ -190,7 +208,7 @@ def kernel_basis(M: QMatrix) -> list[list[Fraction]]:
         v = [Fraction(0)] * M.cols
         v[fc] = Fraction(1)
         for r, pc in enumerate(pivots):
-            v[pc] = -rows[r][fc]
+            v[pc] = Fraction(-rows[r][fc], rows[r][pc])
         basis.append(v)
     return basis
 
@@ -208,9 +226,10 @@ def membership_solve(
         raise InputError(f"vector length {len(v)} != cols {M.cols}")
     if M.rows == 0:
         return [] if all(x == 0 for x in v) else None
-    # Solve M^T c = v via Gauss-Jordan on the augmented matrix.
+    # Solve M^T c = v by Gauss-Jordan on the augmented matrix; scaling one
+    # equation by a nonzero constant leaves the solutions unchanged.
     aug = [
-        [M.entries[i * M.cols + j] for i in range(M.rows)] + [v[j]]
+        _integer_row([M.entries[i * M.cols + j] for i in range(M.rows)] + [v[j]])
         for j in range(M.cols)
     ]
     rows, pivots = _rref(aug)
@@ -218,7 +237,7 @@ def membership_solve(
         return None
     c = [Fraction(0)] * M.rows
     for r, pc in enumerate(pivots):
-        c[pc] = rows[r][M.rows]
+        c[pc] = Fraction(rows[r][M.rows], rows[r][pc])
     return c
 
 

@@ -26,6 +26,10 @@ GREATER_EQUAL = "greater_equal"
 EQUAL = "equal"
 INCOMPARABLE = "incomparable"
 
+# The report lists every partition of t, and p(t) grows like exp(pi*sqrt(2t/3)):
+# p(30) = 5604 labels is about 12 MB of JSON, p(40) = 37338 already 99 MB.
+MAX_REPORT_T = 30
+
 
 @dataclass(frozen=True)
 class StratumLabel:
@@ -171,12 +175,18 @@ def closure_relation(a: StratumLabel, b: StratumLabel) -> ClosureFact:
 def stratification_report(m: int, d: int, t: int) -> dict:
     """Per-label dimensions, closure facts and regime flags as a JSON-able dict.
 
+    One entry per partition of t, so t is capped at MAX_REPORT_T.
+
     The lexicographic rank is the documented total-order tie-break for
     assigning a minimal label; it is flagged artificial because nothing
     geometric orders, say, (3,1,...,1) against (2,2,1,...,1).
     """
     if m < 2 or d < 3 or t < 2:
         raise InputError("stratification_report needs m >= 2, d >= 3, t >= 2")
+    if t > MAX_REPORT_T:
+        raise InputError(
+            f"stratification_report lists all p(t) partitions; t must be <= {MAX_REPORT_T}"
+        )
     labels = partitions_enumerate(t)
     by_lex = sorted(labels, key=lambda l: l.parts)
     lex_rank = {l.parts: i for i, l in enumerate(by_lex)}

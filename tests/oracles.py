@@ -1,11 +1,12 @@
 """Independent oracles used by the test suite.
 
-These deliberately avoid the library's code paths: rank via plain rational
-Gaussian elimination with pivot normalization, polynomial arithmetic via a
-naive exponent-dictionary convolution, partition counting via the Euler
-recurrence.  The one exception is the binary Waring-rank search, which must
-pick the same witness as the library and so walks the library's apolar
-kernel bases in its candidate order.
+These deliberately avoid the library's code paths: rank, kernels and
+membership via plain rational Gauss-Jordan elimination with pivot
+normalization, polynomial arithmetic via a naive exponent-dictionary
+convolution, partition counting via the Euler recurrence.  The one
+exception is the binary Waring-rank search, which must pick the same
+witness as the library and so walks the library's apolar kernel bases in
+its candidate order.
 """
 
 from fractions import Fraction
@@ -35,6 +36,66 @@ def naive_rank(M: QMatrix) -> int:
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
         rank += 1
     return rank
+
+
+def naive_rref(rows):
+    """Reduced row echelon form over Q with normalized pivots, first nonzero
+    entry in column order; returns (rows, pivot column list)."""
+    rows = [[Fraction(x) for x in r] for r in rows]
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = None
+        for i in range(r, nrows):
+            if rows[i][c] != 0:
+                piv = i
+                break
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = Fraction(1) / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows, pivots
+
+
+def naive_kernel(M: QMatrix):
+    """Right kernel basis read off the RREF: one vector per free column, in
+    ascending order, with a 1 in that column."""
+    rows, pivots = naive_rref(M.to_rows())
+    basis = []
+    for fc in (c for c in range(M.cols) if c not in pivots):
+        v = [Fraction(0)] * M.cols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -rows[r][fc]
+        basis.append(v)
+    return basis
+
+
+def naive_membership(M: QMatrix, v):
+    """c with c^T M = v (non-pivot coefficients zero), or None, from the
+    RREF of the augmented system [M^T | v]."""
+    if M.rows == 0:
+        return [] if all(x == 0 for x in v) else None
+    cols = M.transpose().to_rows()
+    aug = [col + [x] for col, x in zip(cols, v)]
+    rows, pivots = naive_rref(aug)
+    if M.rows in pivots:
+        return None
+    c = [Fraction(0)] * M.rows
+    for r, pc in enumerate(pivots):
+        c[pc] = rows[r][M.rows]
+    return c
 
 
 def naive_poly_mul(a: dict, b: dict) -> dict:

@@ -176,6 +176,16 @@ def test_exit_2_on_bound_below_one(capsys):
     assert code == 2 and "--bound" in err
 
 
+def test_exit_2_on_stratify_beyond_partition_bound(capsys):
+    # one entry per partition of t: p(60) = 966467 entries
+    from veronese.strata import MAX_REPORT_T
+
+    code = main(["stratify", "2", "9", str(MAX_REPORT_T + 1)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1 and f"<= {MAX_REPORT_T}" in captured.err
+
+
 def test_exit_2_on_conic_parts_beyond_parameter_box(capsys):
     code = main(
         ["construct", "2", "5", "--conic-a", "2,2,2", "--conic-b", "3,3", "--bound", "1"]

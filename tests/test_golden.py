@@ -4,8 +4,10 @@ corpus must match digests recorded before any change to the matrix builders.
 The corpus is every README command at seeds 0 and 1, ``h1`` on committed
 reduced, jet, fat and (2,3)-point schemes with rational (and negative
 chart) coordinates, ``certify`` on one committed pair that passes and one
-that is refused, and ``sylvester`` on three binary forms (generic, rational
-non-unique, split).  The inputs live in ``tests/golden/``.
+that is refused, ``sylvester`` on three binary forms (generic, rational
+non-unique, split), and three P^3 constructions at scale-up size whose
+digests were recorded before elimination became fraction-free.  The inputs
+live in ``tests/golden/``.
 
 Record the digests again, only for a change that means to alter output:
 
@@ -53,7 +55,19 @@ FILE_COMMANDS = [
     "sylvester --form sylvester_split.json",
 ]
 
-CORPUS = [f"{c} --seed {s}" for c in README_COMMANDS for s in (0, 1)] + FILE_COMMANDS
+# Scale-up sizes: a kernel through ``_intersect_spans`` on 220 columns, a
+# tangent plane plus points, and membership solves on 286 columns.
+SCALE_UP_COMMANDS = [
+    "construct 3 9 --line-jet 2,1 --seed 0",
+    "construct 3 9 --tangent 4 --seed 0",
+    "construct 3 10 --label 2,2 --seed 0",
+]
+
+CORPUS = (
+    [f"{c} --seed {s}" for c in README_COMMANDS for s in (0, 1)]
+    + FILE_COMMANDS
+    + SCALE_UP_COMMANDS
+)
 
 
 def _sha(text: str) -> str:

@@ -2,11 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from oracles import naive_rank
+from oracles import naive_kernel, naive_membership, naive_rank, naive_rref
 from veronese.errors import InputError, RetryWithNewPrime
 from veronese.rationalla import (
     QMatrix,
+    _integer_row,
+    _rref,
     kernel_basis,
     membership_solve,
     modular_rank_probe,
@@ -121,6 +125,86 @@ def test_membership_iff_rank_unchanged():
         appended = M.stack(QMatrix.from_rows([v]))
         member = membership_solve(M, v) is not None
         assert member == (rank_exact(appended) == rank_exact(M))
+
+
+def _rational(rng):
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+
+def _product(rng, n, m, r):
+    """An n x m rational matrix of rank at most r, as A.B."""
+    A = [[_rational(rng) for _ in range(r)] for _ in range(n)]
+    B = [[_rational(rng) for _ in range(m)] for _ in range(r)]
+    return [
+        [sum((A[i][k] * B[k][j] for k in range(r)), Fraction(0)) for j in range(m)]
+        for i in range(n)
+    ]
+
+
+@st.composite
+def rational_matrices(draw):
+    """Random rational matrices of any density, rank-deficient products A.B,
+    tall thin products shaped like the transposed spans intersected along a
+    line (up to 220 x 10), and 0-row matrices; zero rows and columns spliced
+    in."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    kind = draw(st.sampled_from(("random", "product", "tall", "no rows")))
+    if kind == "no rows":
+        return QMatrix(0, draw(st.integers(0, 5)), ())
+    if kind == "random":
+        cols, density = rng.randint(1, 8), rng.random()
+        rows = [
+            [_rational(rng) if rng.random() < density else Fraction(0) for _ in range(cols)]
+            for _ in range(rng.randint(1, 7))
+        ]
+    elif kind == "product":
+        rows = _product(rng, rng.randint(1, 9), rng.randint(1, 9), rng.randint(0, 3))
+    else:
+        cols = rng.randint(2, 10)
+        rows = _product(rng, rng.randint(40, 220), cols, rng.randint(1, cols))
+    if draw(st.booleans()):
+        for _ in range(rng.randint(1, 3)):
+            rows.insert(rng.randint(0, len(rows)), [Fraction(0)] * len(rows[0]))
+        for _ in range(rng.randint(1, 3)):
+            j = rng.randint(0, len(rows[0]))
+            rows = [r[:j] + [Fraction(0)] + r[j:] for r in rows]
+    return QMatrix.from_rows(rows)
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(rational_matrices(), st.integers(0, 2**32))
+def test_kernel_and_membership_equal_rref_oracle(M, seed):
+    """Equal to the rationals of elimination over Q, not merely valid: the
+    same kernel basis, the same coefficients (zero off the pivots) and the
+    same None, for M and for its transpose, with v inside and outside the
+    row space.  The integer rows are the reduced form times one common
+    pivot, which holds only if every row is divided by the previous pivot
+    at every step."""
+    rng = random.Random(seed)
+    rows, pivots = _rref([_integer_row(r) for r in M.to_rows()])
+    reduced, oracle_pivots = naive_rref(M.to_rows())
+    assert pivots == oracle_pivots
+    d = rows[0][pivots[0]] if pivots else 1
+    assert rows == [[d * x for x in row] for row in reduced]
+    assert kernel_basis(M) == naive_kernel(M)
+    for A in (M, M.transpose()):
+        weights = [
+            _rational(rng) if rng.random() < 0.7 else Fraction(0) for _ in range(A.rows)
+        ]
+        inside = [
+            sum((w * x for w, x in zip(weights, col)), Fraction(0))
+            for col in A.transpose().to_rows()
+        ]
+        outside = [_rational(rng) for _ in range(A.cols)]
+        for v in (inside, outside):
+            assert membership_solve(A, v) == naive_membership(A, v)
+        assert membership_solve(A, inside) is not None
 
 
 def test_rank_plus_kernel_dimension():
