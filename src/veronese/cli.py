@@ -34,10 +34,9 @@ from .errors import (
     ResampleExhausted,
 )
 from .forms import form_from_json, form_to_json
-from .rationalla import rank_exact, rank_with_fastpath
 from .schemes import (
     SchemeSpec,
-    conditions_matrix,
+    h1,
     scheme_degree,
     scheme_from_json,
     scheme_to_json,
@@ -114,7 +113,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--modular-fastpath",
         action="store_true",
-        help="allow the sound modular full-rank shortcut (off = exact only)",
+        help="accepted and echoed in the report; selects nothing (h1 always "
+        "tries the sound modular full-rank proof first)",
     )
 
 
@@ -292,14 +292,12 @@ def _run(args: argparse.Namespace) -> tuple[dict, bool]:
 
     if args.command == "h1":
         Z = parse_scheme(_read(args.scheme))
-        M = conditions_matrix(Z, args.d)
-        rank = rank_with_fastpath(M) if args.modular_fastpath else rank_exact(M)
-        value = scheme_degree(Z) - rank
+        degree, value = scheme_degree(Z), h1(Z, args.d)
         rep = {
             **base,
             "d": args.d,
-            "degree": scheme_degree(Z),
-            "rank": rank,
+            "degree": degree,
+            "rank": degree - value,
             "h1": value,
         }
         return rep, True

@@ -1194,30 +1194,33 @@ def terracini_dim(
     if kind == "secant":
         if t < 1:
             raise InputError("secant needs t >= 1")
+        deg = t * (m + 1)
         mk = lambda: [random_fat_point(rng, m, bound, 2) for _ in range(t)]
     elif kind == "tau":
         if t < 2:
             raise InputError("tau needs t >= 2")
         if not (m + 1) * (t - 2) + 2 * m < N:
             raise InputError("tangential join does not fit: (m+1)(t-2)+2m >= N")
+        deg = 2 * m + 1 + (t - 2) * (m + 1)
         mk = lambda: [random_two_three(rng, m, bound)] + [
             random_fat_point(rng, m, bound, 2) for _ in range(t - 2)
         ]
     else:
         if t < 1:
             raise InputError("osculating2 needs t >= 1")
+        deg = comb(m + 3, m) + (t - 1) * (m + 1)
         mk = lambda: [random_fat_point(rng, m, bound, 4)] + [
             random_fat_point(rng, m, bound, 2) for _ in range(t - 1)
         ]
+    # checked before sampling: t components cost O(t^2) support comparisons
+    if deg > comb(m + d, m):
+        raise InputError("infinitesimal scheme does not fit in degree d")
 
     for _ in range(MAX_ATTEMPTS):
         try:
             Z = SchemeSpec(m, tuple(mk()))
         except InputError:
             continue
-        deg = scheme_degree(Z)
-        if deg > comb(m + d, m):
-            raise InputError("infinitesimal scheme does not fit in degree d")
         sup = h1(Z, d)
         dim = deg - 1 - sup
         claims = [

@@ -242,28 +242,6 @@ def product_expand(factors: Iterable[tuple]) -> Form:
     return Form.from_dict(m, total, acc)
 
 
-def apply_diff(alpha: MultiIndex, F: Form) -> Form:
-    """Partial derivative d^alpha F, a form of degree d - |alpha|."""
-    order = sum(alpha)
-    if len(alpha) != F.m + 1:
-        raise InputError("multi-index length mismatch")
-    if order > F.d:
-        raise InputError("derivative order exceeds degree")
-    out: Dict[MultiIndex, Fraction] = {}
-    for beta, c in zip(monomial_basis(F.m, F.d), F.coeffs):
-        if c == 0:
-            continue
-        if any(b < a for b, a in zip(beta, alpha)):
-            continue
-        fac = 1
-        for b, a in zip(beta, alpha):
-            for k in range(a):
-                fac *= b - k
-        e = tuple(b - a for b, a in zip(beta, alpha))
-        out[e] = out.get(e, Fraction(0)) + c * fac
-    return Form.from_dict(F.m, F.d - order, out)
-
-
 def evaluate(F: Form, point: Sequence) -> Fraction:
     pt = [_q(x) for x in point]
     if len(pt) != F.m + 1:

@@ -241,10 +241,6 @@ def membership_solve(
     return c
 
 
-def in_row_space(M: QMatrix, v: Sequence) -> bool:
-    return membership_solve(M, v) is not None
-
-
 def modular_rank_probe(M: QMatrix, prime: int) -> int:
     """Rank of M reduced mod prime; always <= rank_exact(M).
 
@@ -283,10 +279,12 @@ def modular_rank_probe(M: QMatrix, prime: int) -> int:
 
 
 def rank_with_fastpath(M: QMatrix, prime: int = (1 << 31) - 1) -> int:
-    """Exact rank with a sound modular shortcut.
+    """Exact rank with a sound modular shortcut; ``schemes.h1`` settles
+    every interpolation rank this way.
 
     The probe rank never exceeds the exact rank, so a full-rank probe proves
-    full rank; otherwise fall back to Bareiss.  Opt-in only.
+    full rank; otherwise (or when a denominator is divisible by the prime)
+    fall back to Bareiss.
     """
     try:
         probed = modular_rank_probe(M, prime)

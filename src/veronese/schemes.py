@@ -16,21 +16,25 @@ Four component kinds are supported:
 Jets make spans computable in exact arithmetic: the rows spanned by the
 degree-d image of a length-k jet are the t^0..t^(k-1) coefficients of
 (c(t) . x)^d.  Conditions matrices collect the dual functionals (point
-evaluation, jet coefficient extraction, derivatives at fat points), and
-h1 = degree - rank measures the failure to impose independent conditions.
+evaluation, jet coefficient extraction, and the derivatives at fat points
+and (2,3)-points, all read off one integer table of partial derivatives per
+coordinate), and h1 = degree - rank measures the failure to impose
+independent conditions.  That rank is proved by a rank probe modulo a prime
+when the probe is full, and by Bareiss elimination otherwise.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, prod
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 from .errors import InputError, UnsupportedComponentError
 from .forms import (
-    MultiIndex,
     _clear_denominators,
     _monomial_series,
     _tmul,
@@ -48,6 +52,7 @@ from .rationalla import (
     kernel_basis,
     membership_solve,
     rank_exact,
+    rank_with_fastpath,
 )
 
 Vector = Tuple[Fraction, ...]
@@ -251,21 +256,16 @@ def _chart_index(point: Vector) -> int:
     return best
 
 
-def _fat_condition_block(m: int, point: Vector, k: int, d: int):
-    """Derivative functionals of order < k at the point, taken in the affine
-    chart where the largest coordinate is normalized to 1.
+def _derivative_rows(m: int, p: Sequence[int], gammas, d: int) -> list[list[int]]:
+    """Integer rows of the functionals x^beta -> d^gamma x^beta (p) over the
+    degree-d basis, one row per gamma, at an integer vector p:
 
-    gamma ranges over exponents with gamma_chart = 0 and |gamma| < k.  With
-    p the primitive integer vector of the point and c the chart,
-
-        entry (gamma, beta) = prod_i beta_i! / (beta_i - gamma_i)!
-                              * p_i^(beta_i - gamma_i) / p_c^(d - |gamma|),
+        entry (gamma, beta) = prod_i beta_i! / (beta_i - gamma_i)! * p_i^(beta_i - gamma_i),
 
     zero unless gamma <= beta; the factors come from one table per
     coordinate.
     """
-    chart = _chart_index(point)
-    p = _integer_row(point)
+    k = max(max(g) for g in gammas) + 1
     fact = [factorial(e) for e in range(d + 1)]
     tables = [
         [
@@ -276,44 +276,30 @@ def _fat_condition_block(m: int, point: Vector, k: int, d: int):
     ]
     basis = monomial_basis(m, d)
     rows = []
-    for j in range(k):
-        den = p[chart] ** max(d - j, 0)  # rows with j > d are zero
-        for gam_red in monomial_basis(m - 1, j):
-            gamma = gam_red[:chart] + (0,) + gam_red[chart:]
-            factors = [tab[g] for tab, g in zip(tables, gamma)]
-            rows.append(
-                [
-                    Fraction(prod(f[b] for f, b in zip(factors, beta)), den)
-                    for beta in basis
-                ]
-            )
+    for gamma in gammas:
+        factors = [tab[g] for tab, g in zip(tables, gamma)]
+        rows.append([prod(f[b] for f, b in zip(factors, beta)) for beta in basis])
     return rows
 
 
-def _directional_row(m: int, d: int, dirs: Sequence[Vector], point: Vector):
-    """Functional F -> (D_{u1} ... D_{ur} F)(point) over the degree-d basis."""
-    basis = monomial_basis(m, d)
-    row = []
-    for beta in basis:
-        poly: Dict[MultiIndex, Fraction] = {beta: Fraction(1)}
-        for u in dirs:
-            nxt: Dict[MultiIndex, Fraction] = {}
-            for e, c in poly.items():
-                for i, ui in enumerate(u):
-                    if ui == 0 or e[i] == 0:
-                        continue
-                    e2 = tuple(x - (1 if idx == i else 0) for idx, x in enumerate(e))
-                    nxt[e2] = nxt.get(e2, Fraction(0)) + c * e[i] * ui
-            poly = nxt
-        val = Fraction(0)
-        for e, c in poly.items():
-            v = c
-            for p, a in zip(point, e):
-                if a:
-                    v *= p**a
-            val += v
-        row.append(val)
-    return row
+def _fat_condition_block(m: int, point: Vector, k: int, d: int):
+    """Derivative functionals of order < k at the point, taken in the affine
+    chart where the largest coordinate is normalized to 1.
+
+    gamma ranges over exponents with gamma_chart = 0 and |gamma| < k.  With
+    p the primitive integer vector of the point and c the chart, row gamma
+    is the derivative row of p divided by p_c^(d - |gamma|).
+    """
+    chart = _chart_index(point)
+    p = _integer_row(point)
+    gammas = [
+        g[:chart] + (0,) + g[chart:] for j in range(k) for g in monomial_basis(m - 1, j)
+    ]
+    rows = []
+    for gamma, nums in zip(gammas, _derivative_rows(m, p, gammas, d)):
+        den = p[chart] ** max(d - sum(gamma), 0)  # rows with |gamma| > d are zero
+        rows.append([Fraction(v, den) for v in nums])
+    return rows
 
 
 def _complete_basis(m: int, vectors: List[Vector]) -> List[Vector]:
@@ -332,16 +318,34 @@ def _complete_basis(m: int, vectors: List[Vector]) -> List[Vector]:
 
 
 def _two_three_condition_block(m: int, comp: TwoThreePoint, d: int):
-    """The 2m+1 functionals dual to the local quotient basis of
-    (I_Q)^3 + (I_L)^2 in coordinates adapted to (Q, line through Q)."""
-    Q, V = comp.point, comp.direction
-    basis_vs = _complete_basis(m, [Q, V])
-    ws = basis_vs[2:]
-    functionals: List[tuple] = [(), (V,), (V, V)]
-    for w in ws:
-        functionals.append((w,))
-        functionals.append((V, w))
-    return [_directional_row(m, d, dirs, Q) for dirs in functionals]
+    """The 2m+1 functionals F -> (D_{u1} ... D_{ur} F)(Q) dual to the local
+    quotient basis of (I_Q)^3 + (I_L)^2, in coordinates adapted to the point
+    Q and the line direction V: (), (V), (V, V), then (w), (V, w) for each w
+    completing Q, V to a basis.
+
+    D_{u1} ... D_{ur} = sum over i_1..i_r of prod_s u_s[i_s] d_{i1} ... d_{ir},
+    applied to the derivative rows of q = D_Q Q; on the direction numerators
+    u = D_U u the row is divided by D_U^r D_Q^(d - r).
+    """
+    ws = _complete_basis(m, [comp.point, comp.direction])[2:]
+    (q,), DQ = _clear_denominators([comp.point])
+    (v, *ws), DU = _clear_denominators([comp.direction, *ws])
+    gammas = [g for j in range(3) for g in monomial_basis(m, j)]
+    table = dict(zip(gammas, _derivative_rows(m, q, gammas, d)))
+    rows = []
+    for dirs in [(), (v,), (v, v)] + [f for w in ws for f in ((w,), (v, w))]:
+        op = Counter()  # gamma -> coefficient of d^gamma
+        for idx in itertools.product(range(m + 1), repeat=len(dirs)):
+            op[tuple(idx.count(i) for i in range(m + 1))] += prod(u[i] for u, i in zip(dirs, idx))
+        den = DU ** len(dirs) * DQ ** max(d - len(dirs), 0)
+        coeffs = list(op.values())
+        rows.append(
+            [
+                Fraction(sum(c * x for c, x in zip(coeffs, col)), den)
+                for col in zip(*(table[g] for g in op))
+            ]
+        )
+    return rows
 
 
 def conditions_matrix(Z: SchemeSpec, d: int) -> QMatrix:
@@ -371,8 +375,12 @@ def conditions_matrix(Z: SchemeSpec, d: int) -> QMatrix:
 
 
 def h1(Z: SchemeSpec, d: int) -> int:
-    """Superabundance of the degree-d interpolation problem: deg - rank."""
-    return scheme_degree(Z) - rank_exact(conditions_matrix(Z, d))
+    """Superabundance of the degree-d interpolation problem: deg - rank.
+
+    The rank is proved by ``rank_with_fastpath``: a full-rank probe modulo
+    a prime is exact, and anything else is settled by Bareiss elimination.
+    """
+    return scheme_degree(Z) - rank_with_fastpath(conditions_matrix(Z, d))
 
 
 def _component_caps(Z: SchemeSpec) -> list[int]:

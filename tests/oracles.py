@@ -3,10 +3,11 @@
 These deliberately avoid the library's code paths: rank, kernels and
 membership via plain rational Gauss-Jordan elimination with pivot
 normalization, polynomial arithmetic via a naive exponent-dictionary
-convolution, partition counting via the Euler recurrence.  The one
-exception is the binary Waring-rank search, which must pick the same
-witness as the library and so walks the library's apolar kernel bases in
-its candidate order.
+convolution, partition counting via the Euler recurrence.  Two exceptions
+must make the library's own choices: the binary Waring-rank search picks
+the same witness, so it walks the library's apolar kernel bases in its
+candidate order, and the (2,3)-point rows use the library's completion of
+the point and the line direction to a basis.
 """
 
 from fractions import Fraction
@@ -274,3 +275,48 @@ def sylvester_rank_oracle(f):
                 return r, cand
         raise AssertionError("kernel with squarefree gcd but no squarefree candidate")
     raise AssertionError("no squarefree apolar form up to degree d")
+
+
+def directional_row_oracle(m: int, d: int, dirs, point):
+    """Functional F -> (D_{u1} ... D_{ur} F)(point) over the degree-d basis:
+    each monomial differentiated direction by direction as an exponent-dict
+    polynomial and evaluated at point in Fraction arithmetic."""
+    from veronese.forms import monomial_basis
+
+    row = []
+    for beta in monomial_basis(m, d):
+        poly = {beta: Fraction(1)}
+        for u in dirs:
+            nxt = {}
+            for e, c in poly.items():
+                for i, ui in enumerate(u):
+                    if ui == 0 or e[i] == 0:
+                        continue
+                    e2 = tuple(x - (1 if idx == i else 0) for idx, x in enumerate(e))
+                    nxt[e2] = nxt.get(e2, Fraction(0)) + c * e[i] * ui
+            poly = nxt
+        val = Fraction(0)
+        for e, c in poly.items():
+            v = c
+            for p, a in zip(point, e):
+                if a:
+                    v *= p**a
+            val += v
+        row.append(val)
+    return row
+
+
+def two_three_rows_oracle(point, direction, m: int, d: int):
+    """Conditions rows of the (2,3)-point at Q = point on the line of
+    direction V: the functionals (), (V), (V, V), then (w), (V, w) for each
+    w that completes Q, V to a basis (standard vectors, greedily in index
+    order), each evaluated at Q."""
+    from veronese.schemes import _complete_basis
+
+    Q = tuple(Fraction(x) for x in point)
+    V = tuple(Fraction(x) for x in direction)
+    functionals = [(), (V,), (V, V)]
+    for w in _complete_basis(m, [Q, V])[2:]:
+        functionals.append((w,))
+        functionals.append((V, w))
+    return [directional_row_oracle(m, d, dirs, Q) for dirs in functionals]

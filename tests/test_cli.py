@@ -78,14 +78,20 @@ def test_h1_command_fastpath_matches(tmp_path, capsys):
     }
     p = tmp_path / "scheme.json"
     p.write_text(json.dumps(scheme))
-    code, out = run_cli(capsys, "h1", "4", "--scheme", str(p))
+    code, plain_out = run_cli(capsys, "h1", "4", "--scheme", str(p))
     assert code == 0
-    plain = json.loads(out)
-    code, out = run_cli(capsys, "h1", "4", "--scheme", str(p), "--modular-fastpath")
+    plain = json.loads(plain_out)
+    code, fast_out = run_cli(capsys, "h1", "4", "--scheme", str(p), "--modular-fastpath")
     assert code == 0
-    fast = json.loads(out)
+    fast = json.loads(fast_out)
     assert plain["h1"] == fast["h1"] == 0
     assert plain["degree"] == 4
+    # the flag is only echoed: every other line of the report is the same
+    plain_lines, fast_lines = plain_out.splitlines(), fast_out.splitlines()
+    assert len(plain_lines) == len(fast_lines)
+    assert [(a, b) for a, b in zip(plain_lines, fast_lines) if a != b] == [
+        ('  "modular_fastpath": false,', '  "modular_fastpath": true,')
+    ]
 
 
 def test_sylvester_command(tmp_path, capsys):
@@ -192,6 +198,15 @@ def test_exit_2_on_conic_parts_beyond_parameter_box(capsys):
     )
     err = capsys.readouterr().err
     assert code == 2 and "divisor parts" in err
+
+
+def test_exit_2_on_terracini_scheme_beyond_degree(capsys):
+    # 3000 double points in P^2 cannot fit in degree 6; refused before any
+    # of them is sampled (the support check alone is quadratic in t)
+    code = main(["terracini", "2", "6", "--kind", "secant", "--t", "3000"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "input error: infinitesimal scheme does not fit in degree d\n"
 
 
 def test_exit_3_on_resample_exhausted(capsys):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from oracles import (
     catalecticant_oracle,
-    naive_diff,
     naive_power,
     naive_poly_mul,
     poly_dict_to_coeffs,
@@ -18,7 +17,6 @@ from veronese.forms import (
     Form,
     LinearForm,
     _contraction_rows,
-    apply_diff,
     catalecticant_matrix,
     evaluate,
     form_from_json,
@@ -109,33 +107,6 @@ def test_product_equals_repeated_power():
 def test_product_rejects_mixed_variables():
     with pytest.raises(InputError):
         product_expand([(LinearForm.make([1, 0]), 1), (LinearForm.make([1, 0, 0]), 1)])
-
-
-def test_apply_diff_basic():
-    d = 5
-    F = power_expand(LinearForm.make([1, 0]), d)
-    dF = apply_diff((1, 0), F)
-    assert dF == power_expand(LinearForm.make([1, 0]), d - 1).scale(d)
-    G = Form.from_dict(1, 3, {(2, 1): Fraction(1)})
-    val = apply_diff((2, 1), G)
-    assert val.d == 0 and val.coeffs[0] == 2  # alpha! = 2!*1!
-
-
-def test_apply_diff_against_termwise_oracle():
-    F = power_expand(LinearForm.make([1, 1]), 3)
-    dF = apply_diff((0, 1), F)
-    oracle = naive_diff(naive_power([1, 1], 3), 1)
-    assert list(dF.coeffs) == poly_dict_to_coeffs(oracle, 1, 2)
-    assert dF == power_expand(LinearForm.make([1, 1]), 2).scale(3)
-
-
-def test_apply_diff_commutes():
-    rng = random.Random(6)
-    for _ in range(10):
-        F = Form.from_coeffs(2, 4, [rng.randint(-9, 9) for _ in range(comb(6, 2))])
-        a, b = (1, 0, 1), (0, 2, 0)
-        ab = tuple(x + y for x, y in zip(a, b))
-        assert apply_diff(a, apply_diff(b, F)) == apply_diff(ab, F)
 
 
 @SETTINGS

@@ -5,9 +5,11 @@ The corpus is every README command at seeds 0 and 1, ``h1`` on committed
 reduced, jet, fat and (2,3)-point schemes with rational (and negative
 chart) coordinates, ``certify`` on one committed pair that passes and one
 that is refused, ``sylvester`` on three binary forms (generic, rational
-non-unique, split), and three P^3 constructions at scale-up size whose
-digests were recorded before elimination became fraction-free.  The inputs
-live in ``tests/golden/``.
+non-unique, split), three P^3 constructions at scale-up size whose digests
+were recorded before elimination became fraction-free, and a 40-point
+``terracini`` and an ``h1`` on (2,3)-points in P^3 whose digests were
+recorded before ``h1`` took the modular proof and the (2,3)-point rows came
+from the derivative tables.  The inputs live in ``tests/golden/``.
 
 Record the digests again, only for a change that means to alter output:
 
@@ -48,6 +50,7 @@ FILE_COMMANDS = [
     "h1 5 --scheme fat.json",
     "h1 3 --scheme two_three.json",
     "h1 4 --scheme two_three.json --modular-fastpath",
+    "h1 5 --scheme two_three_p3.json",
     "certify --point certify_point.json --scheme certify_scheme.json",
     "certify --point refused_point.json --scheme certify_scheme.json",
     "sylvester --form sylvester_generic.json",
@@ -56,11 +59,13 @@ FILE_COMMANDS = [
 ]
 
 # Scale-up sizes: a kernel through ``_intersect_spans`` on 220 columns, a
-# tangent plane plus points, and membership solves on 286 columns.
+# tangent plane plus points, membership solves on 286 columns, and h1 of 40
+# double points, a 160 x 165 conditions matrix of full rank.
 SCALE_UP_COMMANDS = [
     "construct 3 9 --line-jet 2,1 --seed 0",
     "construct 3 9 --tangent 4 --seed 0",
     "construct 3 10 --label 2,2 --seed 0",
+    "terracini 3 8 --kind secant --t 40 --seed 0",
 ]
 
 CORPUS = (

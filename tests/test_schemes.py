@@ -6,8 +6,13 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import fat_point_rows_oracle, jet_span_rows_oracle, naive_rank
-from veronese.errors import InputError, UnsupportedComponentError
+from oracles import (
+    fat_point_rows_oracle,
+    jet_span_rows_oracle,
+    naive_rank,
+    two_three_rows_oracle,
+)
+from veronese.errors import InputError, RetryWithNewPrime, UnsupportedComponentError
 from veronese.forms import (
     LinearForm,
     monomial_basis,
@@ -15,7 +20,7 @@ from veronese.forms import (
     power_expand,
     product_expand,
 )
-from veronese.rationalla import QMatrix, rank_exact
+from veronese.rationalla import QMatrix, modular_rank_probe, rank_exact
 from veronese.schemes import (
     FatPoint,
     Hyperplane,
@@ -195,6 +200,106 @@ def test_fat_point_rows_match_oracle(point_in, k, d):
     assume(any(point))
     M = conditions_matrix(SchemeSpec(m, (FatPoint(point, k),)), d)
     assert M.to_rows() == fat_point_rows_oracle(point, k, m, d)
+
+
+@SETTINGS
+@given(
+    st.integers(2, 3).flatmap(lambda m: st.tuples(st.just(m), vectors(m), vectors(m))),
+    st.integers(2, 8),
+)
+@example((3, frac(F(-1, 2), 3, 0, F(7, 6)), frac(F(2, 3), 0, -1, F(5, 4))), 5)
+@example((2, frac(0, F(-3, 4), 2), frac(1, 0, 0)), 4)
+@example((3, frac(5, F(-2, 3), F(1, 4), -1), frac(0, F(-4, 9), 0, 1)), 8)
+def test_two_three_rows_match_oracle(case, d):
+    """Rows from the derivative tables equal the directional derivatives
+    taken monomial by monomial, entry for entry; directions with zero
+    coordinates and negative rational points included."""
+    m, q, v = case
+    assume(not _dependent(q, v))
+    M = conditions_matrix(SchemeSpec(m, (TwoThreePoint(q, v),)), d)
+    assert M.to_rows() == two_three_rows_oracle(q, v, m, d)
+
+
+P31 = (1 << 31) - 1  # the probe's prime
+# coordinates with a denominator divisible by the probe's prime (the probe
+# raises RetryWithNewPrime) or a numerator that vanishes modulo it
+probe_coordinates = coordinates | st.sampled_from([P31, -2 * P31, F(1, P31), F(-3, 2 * P31)])
+
+
+@st.composite
+def mixed_schemes(draw):
+    m, d = draw(st.integers(2, 3)), draw(st.integers(2, 5))
+    vec = st.lists(probe_coordinates.map(F), min_size=m + 1, max_size=m + 1).map(tuple)
+    comps = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(("reduced", "jet", "fat", "two_three")))
+        a, b = draw(vec), draw(vec)
+        assume(not _dependent(a, b))
+        if kind == "reduced":
+            comps.append(Reduced(a))
+        elif kind == "jet":
+            comps.append(Jet((a, b, draw(vec))[: draw(st.integers(2, 3))]))
+        elif kind == "fat":
+            comps.append(FatPoint(a, draw(st.integers(2, 3))))
+        else:
+            comps.append(TwoThreePoint(a, b))
+    try:
+        return SchemeSpec(m, tuple(comps)), d
+    except InputError:
+        assume(False)
+
+
+def _double_points(*points):
+    return SchemeSpec(len(points[0]) - 1, tuple(FatPoint(frac(*p), 2) for p in points))
+
+
+AH_245 = _double_points((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3))
+AH_349 = _double_points(
+    (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 1, 1),
+    (1, 2, 3, 4), (1, -1, 2, -3), (2, 1, -1, 3), (3, -2, 1, 1),
+)
+TWO_TRIPLE = SchemeSpec(2, (FatPoint(E0, 3), FatPoint(E1, 3)))
+DENOMINATOR_P = SchemeSpec(
+    2,
+    (
+        Reduced(frac(1, F(1, P31), 2)),
+        FatPoint(frac(P31, 1, 1), 2),
+        TwoThreePoint(frac(1, 0, F(1, P31)), E1),
+    ),
+)
+NUMERATOR_P = SchemeSpec(
+    2,
+    (
+        Reduced(frac(P31, 1, 0)),
+        Reduced(frac(1, P31, 2 * P31)),
+        Jet((E0, frac(0, P31, 0))),
+        TwoThreePoint(frac(1, 2, 3), frac(P31, 0, 1)),
+    ),
+)
+
+
+def test_probe_examples_reach_the_fallback():
+    """The examples below defeat the probe: Alexander-Hirschowitz defective
+    double points and two triple points are rank deficient, a denominator
+    divisible by the prime makes the probe refuse, and numerators that
+    vanish modulo the prime lower the probe rank below the exact rank."""
+    for Z, d in ((AH_245, 4), (AH_349, 4), (TWO_TRIPLE, 4), (NUMERATOR_P, 3)):
+        M = conditions_matrix(Z, d)
+        assert modular_rank_probe(M, P31) < min(M.rows, M.cols)
+    with pytest.raises(RetryWithNewPrime):
+        modular_rank_probe(conditions_matrix(DENOMINATOR_P, 3), P31)
+
+
+@settings(SETTINGS, max_examples=60)
+@given(mixed_schemes())
+@example((AH_245, 4))
+@example((AH_349, 4))
+@example((TWO_TRIPLE, 4))
+@example((DENOMINATOR_P, 3))
+@example((NUMERATOR_P, 3))
+def test_h1_equals_degree_minus_naive_rank(case):
+    Z, d = case
+    assert h1(Z, d) == scheme_degree(Z) - naive_rank(conditions_matrix(Z, d))
 
 
 @SETTINGS
