@@ -11,7 +11,6 @@ from .errors import (
     InputError,
     InternalInconsistency,
     ResampleExhausted,
-    RetryWithNewPrime,
     UnsupportedComponentError,
 )
 
@@ -20,7 +19,6 @@ __all__ = [
     "InputError",
     "InternalInconsistency",
     "ResampleExhausted",
-    "RetryWithNewPrime",
     "UnsupportedComponentError",
 ]
 

@@ -16,7 +16,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, prod
+from math import comb, gcd, lcm, prod
 from typing import List, Optional, Sequence
 
 from .errors import (
@@ -163,14 +163,15 @@ def _point_on_line(Q0, V, z) -> tuple[Fraction, ...]:
 
 
 def _combine_rows(S: QMatrix, coeffs: Sequence[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * S.cols
-    for i, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        base = i * S.cols
-        for j in range(S.cols):
-            out[j] += c * S.entries[base + j]
-    return out
+    """sum_i coeffs[i] * row i of S, summed in integers over one common
+    denominator."""
+    den = lcm(*(c.denominator * d for c, d in zip(coeffs, S.dens) if c))
+    out = [0] * S.cols
+    for c, nums, d in zip(coeffs, S.nums, S.dens):
+        if c:
+            f = c.numerator * (den // (c.denominator * d))
+            out = [o + f * x for o, x in zip(out, nums)]
+    return [Fraction(x, den) for x in out]
 
 
 def _intersect_spans(A: QMatrix, B: QMatrix) -> list[tuple[list[Fraction], list[Fraction]]]:
@@ -450,8 +451,7 @@ def _binary_projective_roots(h: Form) -> Optional[list[tuple[Fraction, Fraction]
 
 def _apolar_kernel(f: Form, r: int) -> list[Form]:
     """Degree-r forms h with h(d/dx) f = 0, as a deterministic basis."""
-    K = QMatrix.from_rows(_contraction_rows(f, r))
-    return [Form(1, r, tuple(v)) for v in kernel_basis(K.transpose())]
+    return [Form(1, r, tuple(v)) for v in kernel_basis(_contraction_rows(f, r).transpose())]
 
 
 def _kernel_candidates(basis: Sequence[Form]):
@@ -860,13 +860,7 @@ def construct_line_jet(
         zero = tuple(Fraction(0) for _ in range(m + 1))
         full_jet = Jet((Q0, V) + (zero,) * (d - 1))
         full_rows = span_matrix(SchemeSpec(m, (full_jet,)), d)
-        S1_rows = (
-            QMatrix.from_rows(
-                [power_expand(LinearForm(m, r.point), d).coeffs for r in pts]
-            )
-            if pts
-            else QMatrix(0, full_rows.cols, ())
-        )
+        S1_rows = QMatrix.from_rows([power_expand(LinearForm(m, r.point), d).coeffs for r in pts])
         dim_claim_rank = rank_exact(full_rows.stack(S1_rows))
 
         c0 = Fraction(_nonzero_int(rng, bound))
@@ -1342,6 +1336,8 @@ def gamma_dims(m: int, d: int, t: int, seed: int, bound: int = 50) -> dict:
             ]
             stamp("double_tangent", dim2, (2, 2) + (1,) * (t - 4), 2, checks)
             break
+        else:
+            raise ResampleExhausted("gamma_dims(double_tangent) kept hitting degenerate samples")
     else:
         report["families"]["double_tangent"] = {"skipped": "needs t >= 4"}
 
@@ -1365,6 +1361,8 @@ def gamma_dims(m: int, d: int, t: int, seed: int, bound: int = 50) -> dict:
         ]
         stamp("noncollinear_triple", dim3, (3,) + (1,) * (t - 3), 2, checks)
         break
+    else:
+        raise ResampleExhausted("gamma_dims(noncollinear_triple) kept hitting degenerate samples")
     return report
 
 

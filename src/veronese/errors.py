@@ -9,10 +9,6 @@ class UnsupportedComponentError(InputError):
     """A scheme component kind is outside what the operation handles."""
 
 
-class RetryWithNewPrime(RuntimeError):
-    """A denominator vanished mod the chosen prime; probe again with another."""
-
-
 class ResampleExhausted(RuntimeError):
     """Random construction kept hitting degenerate configurations."""
 

@@ -1,18 +1,23 @@
 """Exact linear algebra over arbitrary-precision rationals.
 
-Every elimination runs on integers only: each row is first scaled to a
-primitive integer row, which changes neither the row space nor the solution
-set of a system whose equations are the rows.  Rank is computed by
-fraction-free (Bareiss) elimination.  Kernels and membership solving use
-fraction-free Gauss-Jordan elimination (Nakos, Turner & Williams 1997), the
-Bareiss update applied to the rows above the pivot as well: every entry stays
-a minor of the input, so each division by the previous pivot is exact, and
-at the end every pivot entry equals the last pivot, so the reduced row
-echelon form is each row divided by its own pivot entry.  That form is
-unique, so kernels and solutions are the same rationals that elimination
-over Q gives; a Fraction is built only for an output entry.
-Pivoting is always "first nonzero entry in column order", which makes every
-result reproducible bit for bit.
+A matrix stores row i as integer numerators over one positive denominator,
+the form every matrix builder computes in, and every elimination runs on
+those integers only.  Scaling a row by a nonzero constant changes neither
+the rank nor the right kernel, so rank and kernels divide each numerator
+row by its gcd and never look at the denominators.  Membership solves
+sum_i c'_i nums_i = v for c' and returns c_i = c'_i dens_i: dividing row i
+by dens_i scales the unknown c'_i, and scaling the unknowns keeps the pivot
+columns of the reduced row echelon form, so the coefficients are the same
+rationals, zero off the pivots.  Rank is computed by fraction-free (Bareiss)
+elimination.  Kernels and membership solving use fraction-free Gauss-Jordan
+elimination (Nakos, Turner & Williams 1997), the Bareiss update applied to
+the rows above the pivot as well: every entry stays a minor of the input, so
+each division by the previous pivot is exact, and at the end every pivot
+entry equals the last pivot, so the reduced row echelon form is each row
+divided by its own pivot entry.  That form is unique, so kernels and
+solutions are the same rationals that elimination over Q gives; a Fraction
+is built only for an output entry.  Pivoting is always "first nonzero entry
+in column order", which makes every result reproducible bit for bit.
 
 All functions are pure and operate on immutable matrices.
 """
@@ -21,10 +26,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
-from .errors import InputError, RetryWithNewPrime
+from .errors import InputError
 
 MIN_PROBE_PRIME = 1 << 30
 
@@ -41,55 +47,73 @@ def _q(x) -> Fraction:
 
 @dataclass(frozen=True)
 class QMatrix:
-    """Dense row-major matrix of exact rationals."""
+    """Dense matrix of exact rationals: row i is nums[i] / dens[i], integer
+    numerators over one positive row denominator.  Build it with
+    ``from_ints`` or ``from_rows``."""
 
-    rows: int
     cols: int
-    entries: tuple[Fraction, ...]
+    nums: tuple[tuple[int, ...], ...]
+    dens: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
-            raise InputError("negative matrix dimensions")
-        if len(self.entries) != self.rows * self.cols:
-            raise InputError(
-                f"entry count {len(self.entries)} != {self.rows}x{self.cols}"
-            )
+    @classmethod
+    def from_ints(
+        cls, cols: int, nums: Iterable[Sequence[int]], dens: Iterable[int]
+    ) -> "QMatrix":
+        """Row i is nums[i] / dens[i]; a negative denominator flips the sign
+        of its row."""
+        nums, dens = list(nums), list(dens)
+        if cols < 0 or len(nums) != len(dens) or any(len(r) != cols for r in nums):
+            raise InputError(f"{len(nums)} rows, {len(dens)} denominators, {cols} columns")
+        if 0 in dens:
+            raise InputError("zero row denominator")
+        return cls(
+            cols,
+            tuple(tuple(r) if d > 0 else tuple(-x for x in r) for r, d in zip(nums, dens)),
+            tuple(map(abs, dens)),
+        )
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence]) -> "QMatrix":
-        rows = [tuple(_q(x) for x in r) for r in rows]
-        if not rows:
-            return cls(0, 0, ())
-        ncols = len(rows[0])
-        if any(len(r) != ncols for r in rows):
-            raise InputError("ragged rows")
-        return cls(len(rows), ncols, tuple(x for r in rows for x in r))
+        """Clears the denominators of each row once."""
+        rows = [[_q(x) for x in r] for r in rows]
+        dens = [lcm(*(x.denominator for x in r)) for r in rows]
+        nums = [[x.numerator * (D // x.denominator) for x in r] for r, D in zip(rows, dens)]
+        return cls.from_ints(len(rows[0]) if rows else 0, nums, dens)
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "QMatrix":
-        return cls(rows, cols, (Fraction(0),) * (rows * cols))
+        return cls.from_ints(cols, [(0,) * cols] * rows, [1] * rows)
 
     @classmethod
     def identity(cls, n: int) -> "QMatrix":
-        return cls.from_rows(
-            [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        )
+        return cls.from_ints(n, [[int(i == j) for j in range(n)] for i in range(n)], [1] * n)
+
+    @property
+    def rows(self) -> int:
+        return len(self.nums)
+
+    @cached_property
+    def entries(self) -> tuple[Fraction, ...]:
+        """Every entry, row after row."""
+        return tuple(x for i in range(self.rows) for x in self.row(i))
 
     def row(self, i: int) -> list[Fraction]:
-        return list(self.entries[i * self.cols : (i + 1) * self.cols])
+        den = self.dens[i]
+        return [Fraction(x, den) for x in self.nums[i]]
 
     def to_rows(self) -> list[list[Fraction]]:
         return [self.row(i) for i in range(self.rows)]
 
     def transpose(self) -> "QMatrix":
+        """Column j over the common denominator of all rows."""
+        if self.rows == 0:
+            return QMatrix.zero(self.cols, 0)
+        den = lcm(*self.dens)
+        scale = [den // d for d in self.dens]
         return QMatrix(
-            self.cols,
             self.rows,
-            tuple(
-                self.entries[i * self.cols + j]
-                for j in range(self.cols)
-                for i in range(self.rows)
-            ),
+            tuple(tuple(x * s for x, s in zip(col, scale)) for col in zip(*self.nums)),
+            (den,) * self.cols,
         )
 
     def stack(self, other: "QMatrix") -> "QMatrix":
@@ -100,30 +124,22 @@ class QMatrix:
             return self
         if self.cols != other.cols:
             raise InputError("column mismatch in stack")
-        return QMatrix(
-            self.rows + other.rows, self.cols, self.entries + other.entries
-        )
+        return QMatrix(self.cols, self.nums + other.nums, self.dens + other.dens)
 
 
-def _integer_row(row: Sequence[Fraction]) -> list[int]:
-    """Scale a rational row to a primitive integer row (rank preserving)."""
-    denom = 1
-    for x in row:
-        denom = lcm(denom, x.denominator)
-    ints = [x.numerator * (denom // x.denominator) for x in row]
-    g = gcd(*ints)
-    if g > 1:
-        ints = [v // g for v in ints]
-    return ints
+def _primitive(row: Sequence[int]) -> Sequence[int]:
+    """The row divided by the gcd of its entries (rank and kernel preserving)."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
 
 def rank_exact(M: QMatrix) -> int:
     """Rank over the rationals via fraction-free Bareiss elimination.
 
-    Deterministic: rows are normalized to primitive integer vectors and the
+    Deterministic: the numerator rows are divided by their gcds and the
     pivot is always the first nonzero entry below the current row.
     """
-    rows = [_integer_row(M.row(i)) for i in range(M.rows)]
+    rows = [_primitive(r) for r in M.nums]
     nrows, ncols = M.rows, M.cols
     r = 0
     prev = 1
@@ -196,11 +212,7 @@ def kernel_basis(M: QMatrix) -> list[list[Fraction]]:
     Basis vectors are indexed by the free columns in ascending order, each
     with a 1 in its free coordinate.
     """
-    if M.rows == 0:
-        return [
-            [Fraction(int(i == j)) for i in range(M.cols)] for j in range(M.cols)
-        ]
-    rows, pivots = _rref([_integer_row(M.row(i)) for i in range(M.rows)])
+    rows, pivots = _rref([_primitive(r) for r in M.nums])
     pivot_set = set(pivots)
     free = [c for c in range(M.cols) if c not in pivot_set]
     basis = []
@@ -226,41 +238,38 @@ def membership_solve(
         raise InputError(f"vector length {len(v)} != cols {M.cols}")
     if M.rows == 0:
         return [] if all(x == 0 for x in v) else None
-    # Solve M^T c = v by Gauss-Jordan on the augmented matrix; scaling one
-    # equation by a nonzero constant leaves the solutions unchanged.
+    # Solve sum_i c'_i nums_i = D v by Gauss-Jordan on the augmented matrix,
+    # one equation per column; then c_i = c'_i dens_i / D.
+    D = lcm(*(x.denominator for x in v))
     aug = [
-        _integer_row([M.entries[i * M.cols + j] for i in range(M.rows)] + [v[j]])
-        for j in range(M.cols)
+        _primitive(list(col) + [x.numerator * (D // x.denominator)])
+        for col, x in zip(zip(*M.nums), v)
     ]
     rows, pivots = _rref(aug)
     if M.rows in pivots:
         return None
     c = [Fraction(0)] * M.rows
     for r, pc in enumerate(pivots):
-        c[pc] = Fraction(rows[r][M.rows], rows[r][pc])
+        c[pc] = Fraction(rows[r][M.rows] * M.dens[pc], rows[r][pc] * D)
     return c
 
 
 def modular_rank_probe(M: QMatrix, prime: int) -> int:
-    """Rank of M reduced mod prime; always <= rank_exact(M).
+    """Rank of the numerator rows of M reduced mod prime; always <=
+    rank_exact(M), since scaling rows does not change the rank.
 
-    A fast randomized pre-filter.  Raises RetryWithNewPrime when some
-    denominator of M is divisible by the prime.
+    A fast randomized pre-filter: one ``% prime`` per entry, and no
+    denominator is ever inverted.
     """
     if prime <= MIN_PROBE_PRIME:
         raise InputError(f"probe prime must exceed 2^30, got {prime}")
-    red = []
-    for x in M.entries:
-        if x.denominator % prime == 0:
-            raise RetryWithNewPrime(f"denominator {x.denominator} divisible by {prime}")
-        red.append(x.numerator * pow(x.denominator, -1, prime) % prime)
     nrows, ncols = M.rows, M.cols
-    rows = [red[i * ncols : (i + 1) * ncols] for i in range(nrows)]
+    rows = [[x % prime for x in r] for r in M.nums]
     r = 0
     for c in range(ncols):
         piv = None
         for i in range(r, nrows):
-            if rows[i][c] % prime != 0:
+            if rows[i][c] != 0:
                 piv = i
                 break
         if piv is None:
@@ -282,14 +291,11 @@ def rank_with_fastpath(M: QMatrix, prime: int = (1 << 31) - 1) -> int:
     """Exact rank with a sound modular shortcut; ``schemes.h1`` settles
     every interpolation rank this way.
 
-    The probe rank never exceeds the exact rank, so a full-rank probe proves
-    full rank; otherwise (or when a denominator is divisible by the prime)
-    fall back to Bareiss.
+    The probe reduces the numerator rows mod the prime, and its rank never
+    exceeds the exact rank, so a full-rank probe proves full rank; any other
+    probe result falls back to Bareiss.
     """
-    try:
-        probed = modular_rank_probe(M, prime)
-    except RetryWithNewPrime:
-        return rank_exact(M)
+    probed = modular_rank_probe(M, prime)
     if probed == min(M.rows, M.cols):
         return probed
     return rank_exact(M)

@@ -47,7 +47,6 @@ from .forms import (
 )
 from .rationalla import (
     QMatrix,
-    _integer_row,
     _q,
     kernel_basis,
     membership_solve,
@@ -225,27 +224,23 @@ def _jet_block(m: int, curve: Sequence[Vector], d: int) -> tuple[list[list[int]]
     return [[col[j] for col in cols] for j in range(len(curve))], D**d
 
 
-def _span_block(m: int, comp: Component, d: int):
-    if not isinstance(comp, (Reduced, Jet)):
-        raise UnsupportedComponentError(
-            f"span is defined for curvilinear components only, got {type(comp).__name__}"
-        )
-    rows, den = _jet_block(m, comp.curve, d)
-    mults = [multinomial(d, beta) for beta in monomial_basis(m, d)]
-    return [[Fraction(c * v, den) for c, v in zip(mults, row)] for row in rows]
-
-
 def span_matrix(Z: SchemeSpec, d: int) -> QMatrix:
-    """Rows spanning the degree-d image of a curvilinear scheme."""
+    """Rows spanning the degree-d image of a curvilinear scheme: the jet
+    rows with column beta scaled by multinomial(d, beta)."""
     if d < 1:
         raise InputError("span_matrix needs d >= 1")
-    ncols = comb(Z.m + d, Z.m)
-    rows: list = []
+    mults = [multinomial(d, beta) for beta in monomial_basis(Z.m, d)]
+    nums: list = []
+    dens: list = []
     for comp in Z.components:
-        rows.extend(_span_block(Z.m, comp, d))
-    if not rows:
-        return QMatrix(0, ncols, ())
-    return QMatrix.from_rows(rows)
+        if not isinstance(comp, (Reduced, Jet)):
+            raise UnsupportedComponentError(
+                f"span is defined for curvilinear components only, got {type(comp).__name__}"
+            )
+        rows, den = _jet_block(Z.m, comp.curve, d)
+        nums.extend([c * v for c, v in zip(mults, row)] for row in rows)
+        dens.extend([den] * len(rows))
+    return QMatrix.from_ints(len(mults), nums, dens)
 
 
 def _chart_index(point: Vector) -> int:
@@ -284,22 +279,21 @@ def _derivative_rows(m: int, p: Sequence[int], gammas, d: int) -> list[list[int]
 
 def _fat_condition_block(m: int, point: Vector, k: int, d: int):
     """Derivative functionals of order < k at the point, taken in the affine
-    chart where the largest coordinate is normalized to 1.
+    chart where the largest coordinate is normalized to 1; numerator rows
+    and row denominators.
 
     gamma ranges over exponents with gamma_chart = 0 and |gamma| < k.  With
-    p the primitive integer vector of the point and c the chart, row gamma
-    is the derivative row of p divided by p_c^(d - |gamma|).
+    p the integer numerators of the point and c the chart, row gamma is the
+    derivative row of p over p_c^(d - |gamma|).
     """
     chart = _chart_index(point)
-    p = _integer_row(point)
+    (p,), _ = _clear_denominators([point])
     gammas = [
         g[:chart] + (0,) + g[chart:] for j in range(k) for g in monomial_basis(m - 1, j)
     ]
-    rows = []
-    for gamma, nums in zip(gammas, _derivative_rows(m, p, gammas, d)):
-        den = p[chart] ** max(d - sum(gamma), 0)  # rows with |gamma| > d are zero
-        rows.append([Fraction(v, den) for v in nums])
-    return rows
+    # max(..., 0): rows with |gamma| > d are zero
+    dens = [p[chart] ** max(d - sum(gamma), 0) for gamma in gammas]
+    return _derivative_rows(m, p, gammas, d), dens
 
 
 def _complete_basis(m: int, vectors: List[Vector]) -> List[Vector]:
@@ -325,27 +319,25 @@ def _two_three_condition_block(m: int, comp: TwoThreePoint, d: int):
 
     D_{u1} ... D_{ur} = sum over i_1..i_r of prod_s u_s[i_s] d_{i1} ... d_{ir},
     applied to the derivative rows of q = D_Q Q; on the direction numerators
-    u = D_U u the row is divided by D_U^r D_Q^(d - r).
+    u = D_U u the row is over D_U^r D_Q^(d - r).  Returns numerator rows and
+    row denominators.
     """
     ws = _complete_basis(m, [comp.point, comp.direction])[2:]
     (q,), DQ = _clear_denominators([comp.point])
     (v, *ws), DU = _clear_denominators([comp.direction, *ws])
     gammas = [g for j in range(3) for g in monomial_basis(m, j)]
     table = dict(zip(gammas, _derivative_rows(m, q, gammas, d)))
-    rows = []
+    rows, dens = [], []
     for dirs in [(), (v,), (v, v)] + [f for w in ws for f in ((w,), (v, w))]:
         op = Counter()  # gamma -> coefficient of d^gamma
         for idx in itertools.product(range(m + 1), repeat=len(dirs)):
             op[tuple(idx.count(i) for i in range(m + 1))] += prod(u[i] for u, i in zip(dirs, idx))
-        den = DU ** len(dirs) * DQ ** max(d - len(dirs), 0)
         coeffs = list(op.values())
         rows.append(
-            [
-                Fraction(sum(c * x for c, x in zip(coeffs, col)), den)
-                for col in zip(*(table[g] for g in op))
-            ]
+            [sum(c * x for c, x in zip(coeffs, col)) for col in zip(*(table[g] for g in op))]
         )
-    return rows
+        dens.append(DU ** len(dirs) * DQ ** max(d - len(dirs), 0))
+    return rows, dens
 
 
 def conditions_matrix(Z: SchemeSpec, d: int) -> QMatrix:
@@ -357,21 +349,22 @@ def conditions_matrix(Z: SchemeSpec, d: int) -> QMatrix:
     """
     if d < 1:
         raise InputError("conditions_matrix needs d >= 1")
-    ncols = comb(Z.m + d, Z.m)
-    rows: list = []
+    ncols = len(monomial_basis(Z.m, d))
+    nums: list = []
+    dens: list = []
     for comp in Z.components:
         if isinstance(comp, (Reduced, Jet)):
-            nums, den = _jet_block(Z.m, comp.curve, d)
-            rows.extend([Fraction(v, den) for v in row] for row in nums)
+            rows, den = _jet_block(Z.m, comp.curve, d)
+            block = rows, [den] * len(rows)
         elif isinstance(comp, FatPoint):
-            rows.extend(_fat_condition_block(Z.m, comp.point, comp.multiplicity, d))
+            block = _fat_condition_block(Z.m, comp.point, comp.multiplicity, d)
         elif isinstance(comp, TwoThreePoint):
-            rows.extend(_two_three_condition_block(Z.m, comp, d))
+            block = _two_three_condition_block(Z.m, comp, d)
         else:  # pragma: no cover
             raise UnsupportedComponentError(type(comp).__name__)
-    if not rows:
-        return QMatrix(0, ncols, ())
-    return QMatrix.from_rows(rows)
+        nums.extend(block[0])
+        dens.extend(block[1])
+    return QMatrix.from_ints(ncols, nums, dens)
 
 
 def h1(Z: SchemeSpec, d: int) -> int:
@@ -395,32 +388,6 @@ def _component_caps(Z: SchemeSpec) -> list[int]:
                 "subscheme enumeration needs curvilinear components"
             )
     return caps
-
-
-def proper_subscheme_choices(Z: SchemeSpec) -> list[tuple[int, ...]]:
-    """Truncation-length tuples for every proper subscheme of a curvilinear
-    scheme, the full scheme excluded; count = prod(k_i + 1) - 1."""
-    caps = _component_caps(Z)
-    out: list[tuple[int, ...]] = [()]
-    for cap in caps:
-        out = [c + (a,) for c in out for a in range(cap + 1)]
-    full = tuple(caps)
-    return [c for c in out if c != full]
-
-
-def proper_subscheme_spans(Z: SchemeSpec, d: int) -> list[QMatrix]:
-    """Span matrix of each proper subscheme (jets truncate row by row)."""
-    if d < 1:
-        raise InputError("proper_subscheme_spans needs d >= 1")
-    ncols = comb(Z.m + d, Z.m)
-    blocks = [_span_block(Z.m, comp, d) for comp in Z.components]
-    out = []
-    for choice in proper_subscheme_choices(Z):
-        rows: list = []
-        for block, a in zip(blocks, choice):
-            rows.extend(block[:a])
-        out.append(QMatrix.from_rows(rows) if rows else QMatrix(0, ncols, ()))
-    return out
 
 
 def hyperplane_basis(H: Hyperplane) -> QMatrix:
@@ -607,13 +574,10 @@ def random_hyperplane(rng: random.Random, m: int, bound: int) -> Hyperplane:
 def random_point_on_hyperplane(
     rng: random.Random, H: Hyperplane, bound: int
 ) -> Vector:
-    K = hyperplane_basis(H)
+    K = hyperplane_basis(H).to_rows()
     while True:
-        coeffs = [Fraction(rng.randint(-bound, bound)) for _ in range(K.rows)]
-        pt = tuple(
-            sum(c * K.entries[i * K.cols + j] for i, c in enumerate(coeffs))
-            for j in range(K.cols)
-        )
+        coeffs = [Fraction(rng.randint(-bound, bound)) for _ in range(len(K))]
+        pt = tuple(sum(c * x for c, x in zip(coeffs, col)) for col in zip(*K))
         if any(x != 0 for x in pt):
             return pt
 

@@ -7,13 +7,18 @@ convolution, partition counting via the Euler recurrence.  Two exceptions
 must make the library's own choices: the binary Waring-rank search picks
 the same witness, so it walks the library's apolar kernel bases in its
 candidate order, and the (2,3)-point rows use the library's completion of
-the point and the line direction to a basis.
+the point and the line direction to a basis.  The proper-subscheme spans
+truncate the components themselves and build each span with the library's
+``span_matrix``; they are the brute-force reference for reading exclusion
+off one solve.
 """
 
+import itertools
 from fractions import Fraction
 from math import comb
 
 from veronese.rationalla import QMatrix
+from veronese.schemes import Jet, Reduced, SchemeSpec, span_matrix
 
 
 def naive_rank(M: QMatrix) -> int:
@@ -320,3 +325,24 @@ def two_three_rows_oracle(point, direction, m: int, d: int):
         functionals.append((w,))
         functionals.append((V, w))
     return [directional_row_oracle(m, d, dirs, Q) for dirs in functionals]
+
+
+def proper_subscheme_choices(Z: SchemeSpec) -> list:
+    """Truncation-length tuples for every proper subscheme of a curvilinear
+    scheme, the full scheme excluded; count = prod(k_i + 1) - 1."""
+    caps = tuple(len(comp.curve) for comp in Z.components)
+    return [c for c in itertools.product(*(range(k + 1) for k in caps)) if c != caps]
+
+
+def proper_subscheme_spans(Z: SchemeSpec, d: int) -> list:
+    """Span matrix of each proper subscheme: each component cut to its first
+    a curve vectors (a reduced point for a = 1, dropped for a = 0)."""
+    out = []
+    for choice in proper_subscheme_choices(Z):
+        comps = [
+            Reduced(comp.curve[0]) if a == 1 else Jet(comp.curve[:a])
+            for comp, a in zip(Z.components, choice)
+            if a
+        ]
+        out.append(span_matrix(SchemeSpec(Z.m, tuple(comps)), d))
+    return out

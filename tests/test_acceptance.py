@@ -10,7 +10,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from math import comb
 
-from oracles import naive_membership, naive_rank
+from oracles import naive_membership, naive_rank, proper_subscheme_spans
 from veronese.construct import (
     construct_conic_double,
     construct_line_jet,
@@ -30,7 +30,6 @@ from veronese.schemes import (
     SchemeSpec,
     castelnuovo_check,
     h1,
-    proper_subscheme_spans,
     random_fat_point,
     random_hyperplane,
     random_jet_on_conic,

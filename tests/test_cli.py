@@ -1,10 +1,13 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from veronese.cli import emit_report, main, parse_scheme
 from veronese.errors import InputError
 from veronese.schemes import scheme_to_json
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -192,6 +195,14 @@ def test_exit_2_on_stratify_beyond_partition_bound(capsys):
     assert captured.err.count("\n") == 1 and f"<= {MAX_REPORT_T}" in captured.err
 
 
+def test_exit_2_on_monomial_basis_beyond_cap(capsys):
+    # C(403, 3) = 10.8 million columns would exhaust memory
+    code = main(["h1", "400", "--scheme", str(GOLDEN / "two_three.json")])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("input error: ") and captured.err.count("\n") == 1
+
+
 def test_exit_2_on_conic_parts_beyond_parameter_box(capsys):
     code = main(
         ["construct", "2", "5", "--conic-a", "2,2,2", "--conic-b", "3,3", "--bound", "1"]
@@ -216,6 +227,18 @@ def test_exit_3_on_resample_exhausted(capsys):
     assert code == 3 and captured.out == ""
     assert captured.err.startswith("ResampleExhausted: ")
     assert captured.err.count("\n") == 1
+
+
+def test_exit_3_when_gamma_families_exhaust_their_samples(capsys):
+    # in the box [-1, 1] the supports keep colliding; each family must be
+    # reported or refused, never silently left out
+    for seed, family in ((123, "double_tangent"), (280, "noncollinear_triple")):
+        code = main(["gamma", "2", "12", "10", "--seed", str(seed), "--bound", "1"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == (
+            f"ResampleExhausted: gamma_dims({family}) kept hitting degenerate samples\n"
+        )
 
 
 def test_exit_3_on_internal_inconsistency(monkeypatch, capsys):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from veronese.construct import (
     DecompositionRecord,
     Summand,
+    _combine_rows,
     _exclusion_claim,
     certificate_to_json,
     certify_border_rank,
@@ -30,13 +31,12 @@ from veronese.forms import (
     product_expand,
     substitute,
 )
-from veronese.rationalla import membership_solve, rank_exact
+from veronese.rationalla import QMatrix, membership_solve, rank_exact
 from veronese.schemes import (
     Jet,
     Reduced,
     SchemeSpec,
     assemble_scheme,
-    proper_subscheme_spans,
     random_jet_on_conic,
     random_jet_on_line,
     random_reduced,
@@ -44,7 +44,7 @@ from veronese.schemes import (
 )
 from veronese.strata import StratumLabel
 
-from oracles import naive_membership, sylvester_rank_oracle
+from oracles import naive_membership, proper_subscheme_spans, sylvester_rank_oracle
 
 F = Fraction
 
@@ -316,6 +316,27 @@ def test_exclusion_reader_matches_brute_force(case):
     assert claim.ranks == (len(spans),)
     assert claim.passed == all(naive_membership(S, P.coeffs) is None for S in spans)
     assert claim.passed == (dropped is None)
+
+
+PRIME = (1 << 31) - 1
+rationals = st.integers(-9, 9) | st.fractions(-9, 9, max_denominator=12)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 6), st.integers(0, 6), st.data())
+def test_combine_rows_equals_fraction_sum(cols, nrows, data):
+    """Integer rows over composite, negative and prime-divisible row
+    denominators, combined with rational coefficients (zeros included)."""
+    ints = st.integers(-50, 50) | st.sampled_from([PRIME, -3 * PRIME])
+    nums = data.draw(st.lists(st.lists(ints, min_size=cols, max_size=cols), min_size=nrows, max_size=nrows))
+    dens = data.draw(st.lists(st.sampled_from([1, 12, -6, PRIME, -2 * PRIME]), min_size=nrows, max_size=nrows))
+    coeffs = [F(c) for c in data.draw(st.lists(rationals, min_size=nrows, max_size=nrows))]
+    S = QMatrix.from_ints(cols, nums, dens)
+    expected = [
+        sum((c * F(row[j], den) for c, row, den in zip(coeffs, nums, dens)), F(0))
+        for j in range(cols)
+    ]
+    assert _combine_rows(S, coeffs) == expected
 
 
 def test_line_condition_detects_long_line_jets():

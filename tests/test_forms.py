@@ -119,7 +119,7 @@ def test_catalecticant_against_naive_diff_oracle(m, d, data):
     F = Form.from_coeffs(m, d, coeffs)
     for a in range(1, d):
         assert catalecticant_matrix(F, a).to_rows() == catalecticant_oracle(F.terms(), m, d, a)
-    assert _contraction_rows(F, d) == catalecticant_oracle(F.terms(), m, d, d)
+    assert _contraction_rows(F, d).to_rows() == catalecticant_oracle(F.terms(), m, d, d)
 
 
 def test_catalecticant_pure_power_rank_one():

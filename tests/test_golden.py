@@ -9,7 +9,8 @@ non-unique, split), three P^3 constructions at scale-up size whose digests
 were recorded before elimination became fraction-free, and a 40-point
 ``terracini`` and an ``h1`` on (2,3)-points in P^3 whose digests were
 recorded before ``h1`` took the modular proof and the (2,3)-point rows came
-from the derivative tables.  The inputs live in ``tests/golden/``.
+from the derivative tables, and ``gamma 2 8 4`` recorded before the matrices
+kept integer rows.  The inputs live in ``tests/golden/``.
 
 Record the digests again, only for a change that means to alter output:
 
@@ -68,10 +69,15 @@ SCALE_UP_COMMANDS = [
     "terracini 3 8 --kind secant --t 40 --seed 0",
 ]
 
+# The double-tangent (2,3)-point family of ``gamma``, which no command above
+# reaches; recorded before the matrices kept integer rows.
+GAMMA_COMMANDS = ["gamma 2 8 4 --seed 0"]
+
 CORPUS = (
     [f"{c} --seed {s}" for c in README_COMMANDS for s in (0, 1)]
     + FILE_COMMANDS
     + SCALE_UP_COMMANDS
+    + GAMMA_COMMANDS
 )
 
 

@@ -6,10 +6,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from oracles import naive_kernel, naive_membership, naive_rank, naive_rref
-from veronese.errors import InputError, RetryWithNewPrime
+from veronese.errors import InputError
 from veronese.rationalla import (
     QMatrix,
-    _integer_row,
     _rref,
     kernel_basis,
     membership_solve,
@@ -19,6 +18,8 @@ from veronese.rationalla import (
 )
 
 PRIME = (1 << 31) - 1
+# composite, negative and prime-divisible row denominators for from_ints
+DENOMINATORS = (1, 12, 36, -6, -35, PRIME, -PRIME, 2 * PRIME)
 
 
 def random_matrix(rng, rows, cols, lo=-50, hi=50, fractions=False):
@@ -141,16 +142,31 @@ def _product(rng, n, m, r):
     ]
 
 
+def _integer_rows(rng, n, m):
+    """``from_ints`` of an n x m integer product of rank at most 3, each row
+    times 0, 1, 4, 30 or the prime, over a denominator from DENOMINATORS."""
+    r = rng.randint(0, 3)
+    A = [[rng.randint(-9, 9) for _ in range(r)] for _ in range(n)]
+    B = [[rng.randint(-9, 9) for _ in range(m)] for _ in range(r)]
+    nums = [
+        [g * sum(a * b[j] for a, b in zip(row, B)) for j in range(m)]
+        for row, g in zip(A, (rng.choice((0, 1, 4, 30, PRIME)) for _ in A))
+    ]
+    return QMatrix.from_ints(m, nums, [rng.choice(DENOMINATORS) for _ in nums])
+
+
 @st.composite
 def rational_matrices(draw):
     """Random rational matrices of any density, rank-deficient products A.B,
     tall thin products shaped like the transposed spans intersected along a
-    line (up to 220 x 10), and 0-row matrices; zero rows and columns spliced
-    in."""
+    line (up to 220 x 10), integer rows over row denominators, and 0-row
+    matrices; zero rows and columns spliced in."""
     rng = random.Random(draw(st.integers(0, 2**32)))
-    kind = draw(st.sampled_from(("random", "product", "tall", "no rows")))
+    kind = draw(st.sampled_from(("random", "product", "tall", "integer rows", "no rows")))
     if kind == "no rows":
-        return QMatrix(0, draw(st.integers(0, 5)), ())
+        return QMatrix.zero(0, draw(st.integers(0, 5)))
+    if kind == "integer rows":
+        return _integer_rows(rng, rng.randint(1, 9), rng.randint(1, 9))
     if kind == "random":
         cols, density = rng.randint(1, 8), rng.random()
         rows = [
@@ -181,17 +197,19 @@ def rational_matrices(draw):
 @given(rational_matrices(), st.integers(0, 2**32))
 def test_kernel_and_membership_equal_rref_oracle(M, seed):
     """Equal to the rationals of elimination over Q, not merely valid: the
-    same kernel basis, the same coefficients (zero off the pivots) and the
-    same None, for M and for its transpose, with v inside and outside the
-    row space.  The integer rows are the reduced form times one common
-    pivot, which holds only if every row is divided by the previous pivot
-    at every step."""
+    same rank, kernel basis, coefficients (zero off the pivots) and None,
+    for M and for its transpose, with v inside and outside the row space;
+    the probe never exceeds the rank.  The numerator rows reduce to the
+    reduced form of M times one common pivot, which holds only if every row
+    is divided by the previous pivot at every step."""
     rng = random.Random(seed)
-    rows, pivots = _rref([_integer_row(r) for r in M.to_rows()])
+    rows, pivots = _rref([list(r) for r in M.nums])
     reduced, oracle_pivots = naive_rref(M.to_rows())
     assert pivots == oracle_pivots
     d = rows[0][pivots[0]] if pivots else 1
     assert rows == [[d * x for x in row] for row in reduced]
+    assert rank_exact(M) == naive_rank(M) == len(pivots)
+    assert modular_rank_probe(M, PRIME) <= len(pivots)
     assert kernel_basis(M) == naive_kernel(M)
     for A in (M, M.transpose()):
         weights = [
@@ -225,9 +243,10 @@ def test_modular_probe_rejects_small_prime():
 
 
 def test_modular_probe_bad_denominator():
-    M = QMatrix.from_rows([[Fraction(1, PRIME)]])
-    with pytest.raises(RetryWithNewPrime):
-        modular_rank_probe(M, PRIME)
+    # the probe reads numerators only, so a denominator divisible by the
+    # prime does not stop it
+    M = QMatrix.from_rows([[Fraction(1, PRIME), Fraction(3, 2 * PRIME)], [1, 0]])
+    assert modular_rank_probe(M, PRIME) == 2
 
 
 def test_modular_probe_matches_exact_rank():
@@ -248,7 +267,22 @@ def test_fastpath_agrees_with_exact():
 
 
 def test_qmatrix_validation():
-    with pytest.raises(InputError):
-        QMatrix(2, 2, (Fraction(1),))
+    for cols, nums, dens in ((2, [[1]], [1]), (1, [[1], [2]], [1]), (1, [[1]], [0])):
+        with pytest.raises(InputError):
+            QMatrix.from_ints(cols, nums, dens)
     with pytest.raises(InputError):
         QMatrix.from_rows([[1, 2], [3]])
+
+
+def test_from_ints_flips_negative_denominators():
+    M = QMatrix.from_ints(2, [[1, -2], [4, 6]], [-3, 4])
+    assert M.dens == (3, 4)
+    assert M.to_rows() == [[Fraction(-1, 3), Fraction(2, 3)], [1, Fraction(3, 2)]]
+    assert M.entries == tuple(M.to_rows()[0] + M.to_rows()[1])
+    assert M.transpose().to_rows() == [[Fraction(-1, 3), 1], [Fraction(2, 3), Fraction(3, 2)]]
+
+
+def test_from_rows_clears_each_row_once():
+    M = QMatrix.from_rows([[Fraction(1, 2), Fraction(-1, 3)], [0, 0], [2, 4]])
+    assert M.nums == ((3, -2), (0, 0), (2, 4))
+    assert M.dens == (6, 1, 1)

@@ -10,9 +10,10 @@ from oracles import (
     fat_point_rows_oracle,
     jet_span_rows_oracle,
     naive_rank,
+    proper_subscheme_spans,
     two_three_rows_oracle,
 )
-from veronese.errors import InputError, RetryWithNewPrime, UnsupportedComponentError
+from veronese.errors import InputError, UnsupportedComponentError
 from veronese.forms import (
     LinearForm,
     monomial_basis,
@@ -20,7 +21,7 @@ from veronese.forms import (
     power_expand,
     product_expand,
 )
-from veronese.rationalla import QMatrix, modular_rank_probe, rank_exact
+from veronese.rationalla import QMatrix, modular_rank_probe, rank_exact, rank_with_fastpath
 from veronese.schemes import (
     FatPoint,
     Hyperplane,
@@ -33,7 +34,6 @@ from veronese.schemes import (
     conditions_matrix,
     h1,
     lgp_check,
-    proper_subscheme_spans,
     random_fat_point,
     random_hyperplane,
     random_jet_on_conic,
@@ -221,8 +221,8 @@ def test_two_three_rows_match_oracle(case, d):
 
 
 P31 = (1 << 31) - 1  # the probe's prime
-# coordinates with a denominator divisible by the probe's prime (the probe
-# raises RetryWithNewPrime) or a numerator that vanishes modulo it
+# coordinates with a denominator divisible by the probe's prime (which the
+# probe never sees) or a numerator that vanishes modulo it
 probe_coordinates = coordinates | st.sampled_from([P31, -2 * P31, F(1, P31), F(-3, 2 * P31)])
 
 
@@ -280,14 +280,24 @@ NUMERATOR_P = SchemeSpec(
 
 def test_probe_examples_reach_the_fallback():
     """The examples below defeat the probe: Alexander-Hirschowitz defective
-    double points and two triple points are rank deficient, a denominator
-    divisible by the prime makes the probe refuse, and numerators that
-    vanish modulo the prime lower the probe rank below the exact rank."""
+    double points and two triple points are rank deficient, and numerators
+    that vanish modulo the prime lower the probe rank below the exact
+    rank."""
     for Z, d in ((AH_245, 4), (AH_349, 4), (TWO_TRIPLE, 4), (NUMERATOR_P, 3)):
         M = conditions_matrix(Z, d)
         assert modular_rank_probe(M, P31) < min(M.rows, M.cols)
-    with pytest.raises(RetryWithNewPrime):
-        modular_rank_probe(conditions_matrix(DENOMINATOR_P, 3), P31)
+
+
+def test_probe_reads_numerators_past_denominators_divisible_by_the_prime():
+    """The probe reduces the integer numerator rows and never inverts a
+    denominator, so row denominators divisible by the prime are no reason
+    to refuse.  Here the coordinates 1/p leave factors of p in the
+    primitive numerator rows too, so the probe (6) stays below the exact
+    rank (8) and Bareiss settles it."""
+    M = conditions_matrix(DENOMINATOR_P, 3)
+    assert any(den % P31 == 0 for den in M.dens)
+    assert modular_rank_probe(M, P31) == 6
+    assert rank_with_fastpath(M) == naive_rank(M) == 8
 
 
 @settings(SETTINGS, max_examples=60)
