@@ -2,9 +2,10 @@
 
 Exit status 0 means every claim in every emitted certificate passed,
 1 means a certificate was refused or a claim failed, 2 means malformed
-input, 3 means a seeded construction ran out of resamples or two exact
-computations disagreed.  All randomness flows from --seed, and identical
-invocations produce byte-identical JSON output.
+input or an --out path that cannot be written, 3 means a seeded
+construction ran out of resamples or two exact computations disagreed.
+All randomness flows from --seed, and identical invocations produce
+byte-identical JSON output.
 """
 
 from __future__ import annotations
@@ -338,8 +339,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 3
     text = emit_report(report, args.format)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as e:
+            sys.stderr.write(f"cannot write {args.out}: {e}\n")
+            return 2
     else:
         sys.stdout.write(text)
     return 0 if passed else 1

@@ -19,6 +19,16 @@ solutions are the same rationals that elimination over Q gives; a Fraction
 is built only for an output entry.  Pivoting is always "first nonzero entry
 in column order", which makes every result reproducible bit for bit.
 
+The modular rank probe reduces the numerators mod a prime p and packs each
+row into one integer of K-bit slots, one residue per slot, along the
+shorter side of the matrix (the mod-p rank is transpose-invariant), so
+s = min(rows, cols) slots per row and at most s pivots.  A row update is
+then one big-integer shift and multiply-add instead of one ``% p`` per
+entry.  Slots are never reduced during elimination; each one stays below
+(s + 1) p^2 < 2^K, so no slot carries into the next (Dumas, Fousse & Salvy,
+"Simultaneous modular reduction and Kronecker substitution for small
+finite fields", 2011).
+
 All functions are pure and operate on immutable matrices.
 """
 
@@ -258,31 +268,49 @@ def modular_rank_probe(M: QMatrix, prime: int) -> int:
     """Rank of the numerator rows of M reduced mod prime; always <=
     rank_exact(M), since scaling rows does not change the rank.
 
-    A fast randomized pre-filter: one ``% prime`` per entry, and no
-    denominator is ever inverted.
+    A fast randomized pre-filter: no denominator is ever inverted, and each
+    row mod prime is one integer of K-bit slots, so a row update is one
+    big-integer shift and multiply-add.  The matrix is packed along its
+    shorter side (the mod-p rank of the numerators is transpose-invariant):
+    with s = min(rows, cols) slots per row, at most s pivots update a row.
+    The current column is always slot 0, read as ``(a & mask) % prime``;
+    eliminating it drops that slot and adds f * N, where f < prime and N
+    packs the pivot row normalized and negated mod prime.  A slot thus stays
+    below prime + s * (prime - 1)^2 < (s + 1) * prime^2 < 2^K and never
+    carries into the next one.
     """
     if prime <= MIN_PROBE_PRIME:
         raise InputError(f"probe prime must exceed 2^30, got {prime}")
-    nrows, ncols = M.rows, M.cols
-    rows = [[x % prime for x in r] for r in M.nums]
+    nums = M.nums if M.rows >= M.cols else list(zip(*M.nums))
+    width = min(M.rows, M.cols)
+    # K = 8 * ceil((bitlen((s + 1) * prime^2) + 1) / 8): whole bytes, so a
+    # row packs and unpacks through int.to_bytes / int.from_bytes.
+    nbytes = ((width + 1) * prime * prime).bit_length() // 8 + 1
+    K = 8 * nbytes
+    mask = (1 << K) - 1
+
+    def pack(values) -> int:
+        return int.from_bytes(
+            b"".join([(x % prime).to_bytes(nbytes, "little") for x in values]), "little"
+        )
+
+    rows = [pack(r) for r in nums]
     r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if rows[i][c] != 0:
-                piv = i
-                break
+    for c in range(width):
+        heads = [(a & mask) % prime for a in rows]
+        piv = next((i for i, f in enumerate(heads) if f), None)
         if piv is None:
+            rows = [a >> K for a in rows]
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][c], -1, prime)
-        rows[r] = [x * inv % prime for x in rows[r]]
-        for i in range(r + 1, nrows):
-            f = rows[i][c]
-            if f:
-                rows[i] = [(a - f * b) % prime for a, b in zip(rows[i], rows[r])]
+        tail = (rows.pop(piv) >> K).to_bytes((width - c - 1) * nbytes, "little")
+        scale = -pow(heads.pop(piv), -1, prime)
+        N = pack(
+            int.from_bytes(tail[j : j + nbytes], "little") * scale
+            for j in range(0, len(tail), nbytes)
+        )
+        rows = [(a >> K) + f * N if f else a >> K for a, f in zip(rows, heads)]
         r += 1
-        if r == nrows:
+        if not rows:
             break
     return r
 

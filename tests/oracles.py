@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's code paths: rank, kernels and
 membership via plain rational Gauss-Jordan elimination with pivot
-normalization, polynomial arithmetic via a naive exponent-dictionary
+normalization, the modular rank via Gaussian elimination on lists of
+residues mod p, polynomial arithmetic via a naive exponent-dictionary
 convolution, partition counting via the Euler recurrence.  Two exceptions
 must make the library's own choices: the binary Waring-rank search picks
 the same witness, so it walks the library's apolar kernel bases in its
@@ -102,6 +103,33 @@ def naive_membership(M: QMatrix, v):
     for r, pc in enumerate(pivots):
         c[pc] = rows[r][M.rows]
     return c
+
+
+def naive_modular_rank(M: QMatrix, prime: int) -> int:
+    """Rank of the numerator rows of M mod prime by Gaussian elimination on
+    lists of residues, one ``% prime`` per entry of every row update."""
+    nrows, ncols = M.rows, M.cols
+    rows = [[x % prime for x in r] for r in M.nums]
+    r = 0
+    for c in range(ncols):
+        piv = None
+        for i in range(r, nrows):
+            if rows[i][c] != 0:
+                piv = i
+                break
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = pow(rows[r][c], -1, prime)
+        rows[r] = [x * inv % prime for x in rows[r]]
+        for i in range(r + 1, nrows):
+            f = rows[i][c]
+            if f:
+                rows[i] = [(a - f * b) % prime for a, b in zip(rows[i], rows[r])]
+        r += 1
+        if r == nrows:
+            break
+    return r
 
 
 def naive_poly_mul(a: dict, b: dict) -> dict:

@@ -292,3 +292,11 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert capsys.readouterr().out == ""
     rep = json.loads(out_path.read_text())
     assert rep["report"]["uniqueness_regime"] is True
+
+
+def test_exit_2_on_unwritable_out(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code = main(["stratify", "2", "9", "4", "--out", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and not target.exists()
+    assert captured.err.startswith(f"cannot write {target}: ") and captured.err.count("\n") == 1

@@ -9,8 +9,10 @@ non-unique, split), three P^3 constructions at scale-up size whose digests
 were recorded before elimination became fraction-free, and a 40-point
 ``terracini`` and an ``h1`` on (2,3)-points in P^3 whose digests were
 recorded before ``h1`` took the modular proof and the (2,3)-point rows came
-from the derivative tables, and ``gamma 2 8 4`` recorded before the matrices
-kept integer rows.  The inputs live in ``tests/golden/``.
+from the derivative tables, ``gamma 2 8 4`` recorded before the matrices
+kept integer rows, and ``h1 12`` of 14 collinear points in P^3 (a 14 x 455
+conditions matrix of rank 13, so the probe falls back to Bareiss) recorded
+before the probe packed its rows.  The inputs live in ``tests/golden/``.
 
 Record the digests again, only for a change that means to alter output:
 
@@ -52,6 +54,7 @@ FILE_COMMANDS = [
     "h1 3 --scheme two_three.json",
     "h1 4 --scheme two_three.json --modular-fastpath",
     "h1 5 --scheme two_three_p3.json",
+    "h1 12 --scheme collinear_p3.json",
     "certify --point certify_point.json --scheme certify_scheme.json",
     "certify --point refused_point.json --scheme certify_scheme.json",
     "sylvester --form sylvester_generic.json",

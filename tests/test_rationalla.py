@@ -2,10 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_kernel, naive_membership, naive_rank, naive_rref
+from oracles import naive_kernel, naive_membership, naive_modular_rank, naive_rank, naive_rref
 from veronese.errors import InputError
 from veronese.rationalla import (
     QMatrix,
@@ -257,6 +257,64 @@ def test_modular_probe_matches_exact_rank():
         exact = rank_exact(M)
         assert probed <= exact
         assert probed == exact  # failure probability ~ 10/PRIME per instance
+
+
+def _int_product(rng, n, m, r, lo, hi):
+    """An n x m integer product A.B of rank at most r, factors in [lo, hi]."""
+    A = [[rng.randint(lo, hi) for _ in range(r)] for _ in range(n)]
+    B = [[rng.randint(lo, hi) for _ in range(m)] for _ in range(r)]
+    return [[sum(a * b[j] for a, b in zip(row, B)) for j in range(m)] for row in A]
+
+
+# 60 x 60 of rank 30 mod PRIME with factors in [0, PRIME): a row takes up
+# to 30 updates of about PRIME^2 / 4 each, more than a slot of 2 * 31 bits
+# can hold.
+EXTRA_SLOT_BITS = QMatrix.from_ints(
+    60, _int_product(random.Random(8), 60, 60, 30, 0, PRIME - 1), [1] * 60
+)
+
+
+@st.composite
+def probe_matrices(draw):
+    """Integer matrices for the probe: square, wide (up to 10 x 2000) and
+    tall, random or rank-deficient products, 0-row and 0-column shapes.
+    Entries are negative, multiples of the prime or longer than 200 bits;
+    row denominators are prime to PRIME, so transposing (which scales
+    columns by factors of the common denominator) keeps the mod-p rank."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    shape = draw(st.sampled_from(("square", "wide", "tall", "empty")))
+    if shape == "empty":
+        k = rng.randint(0, 6)
+        return QMatrix.zero(0, k) if rng.random() < 0.5 else QMatrix.zero(k, 0)
+    n = rng.randint(1, 30)
+    rows, cols = {
+        "square": (n, n),
+        "wide": (rng.randint(1, 10), rng.randint(11, 2000)),
+        "tall": (rng.randint(31, 300), rng.randint(1, 10)),
+    }[shape]
+    lo, hi = rng.choice(((0, PRIME - 1), (-9, 9)))
+    nums = _int_product(rng, rows, cols, rng.randint(0, min(rows, cols)), lo, hi)
+    for row in nums:
+        g = rng.choice((1, -1, PRIME, -3 * PRIME, 1 << 200))
+        shift = rng.choice((0, PRIME << 200, -PRIME))
+        row[:] = [g * x + shift * rng.randint(-1, 1) for x in row]
+    return QMatrix.from_ints(cols, nums, [rng.choice((1, 12, -35, 36)) for _ in nums])
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(probe_matrices())
+@example(EXTRA_SLOT_BITS)
+def test_modular_probe_equals_list_oracle(M):
+    """The packed probe is the rank of the numerators mod PRIME, the same
+    for M and its transpose, whichever side it packs along."""
+    probed = modular_rank_probe(M, PRIME)
+    assert probed == naive_modular_rank(M, PRIME) == modular_rank_probe(M.transpose(), PRIME)
 
 
 def test_fastpath_agrees_with_exact():
