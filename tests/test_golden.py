@@ -10,9 +10,14 @@ were recorded before elimination became fraction-free, and a 40-point
 ``terracini`` and an ``h1`` on (2,3)-points in P^3 whose digests were
 recorded before ``h1`` took the modular proof and the (2,3)-point rows came
 from the derivative tables, ``gamma 2 8 4`` recorded before the matrices
-kept integer rows, and ``h1 12`` of 14 collinear points in P^3 (a 14 x 455
+kept integer rows, ``h1 12`` of 14 collinear points in P^3 (a 14 x 455
 conditions matrix of rank 13, so the probe falls back to Bareiss) recorded
-before the probe packed its rows.  The inputs live in ``tests/golden/``.
+before the probe packed its rows, and three derivative-row cases recorded
+before those rows were gathered from power tables: ``h1 1`` of the fat
+scheme (every derivative of order >= 2 lies above d, so its rows are zero),
+``h1 4`` of a P^3 quadruple point with zero and negative rational
+coordinates plus two double points, and ``terracini --kind osculating2``.
+The inputs live in ``tests/golden/``.
 
 Record the digests again, only for a change that means to alter output:
 
@@ -76,11 +81,21 @@ SCALE_UP_COMMANDS = [
 # reaches; recorded before the matrices kept integer rows.
 GAMMA_COMMANDS = ["gamma 2 8 4 --seed 0"]
 
+# Fat-point derivative rows: orders above d, a quadruple point in P^3 off
+# and on zero coordinates, and the quadruple points of osculating2; recorded
+# before those rows were gathered from power tables.
+DERIVATIVE_COMMANDS = [
+    "h1 1 --scheme fat.json",
+    "h1 4 --scheme fat_p3.json",
+    "terracini 3 5 --kind osculating2 --t 2 --seed 0",
+]
+
 CORPUS = (
     [f"{c} --seed {s}" for c in README_COMMANDS for s in (0, 1)]
     + FILE_COMMANDS
     + SCALE_UP_COMMANDS
     + GAMMA_COMMANDS
+    + DERIVATIVE_COMMANDS
 )
 
 
