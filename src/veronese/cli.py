@@ -11,6 +11,7 @@ byte-identical JSON output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
@@ -119,7 +120,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves no state
+    in it, and building it costs more than a small command."""
     ap = argparse.ArgumentParser(
         prog="veronese",
         description="exact certificates for strata of Veronese secant varieties",

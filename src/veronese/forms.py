@@ -70,6 +70,12 @@ def multinomial(d: int, alpha: MultiIndex) -> int:
     return out
 
 
+@lru_cache(maxsize=None)
+def _multinomials(m: int, d: int) -> tuple[int, ...]:
+    """multinomial(d, alpha) for alpha in monomial_basis(m, d)."""
+    return tuple(multinomial(d, alpha) for alpha in monomial_basis(m, d))
+
+
 @dataclass(frozen=True)
 class LinearForm:
     """Nonzero linear form c_0 x_0 + ... + c_m x_m."""
@@ -164,15 +170,46 @@ def _tmul(a: Sequence, b: Sequence, cap: int) -> list:
     return out
 
 
+def _powers(x: int, e: int) -> list[int]:
+    """x^0, x^1, ..., x^e."""
+    out = [1]
+    for _ in range(e):
+        out.append(out[-1] * x)
+    return out
+
+
+def _power_table(p: Sequence[int], e: int) -> list[int]:
+    """p^alpha for alpha in monomial_basis(len(p) - 1, e), in that order.
+
+    One walk over the basis: the leading coordinates extend a list of
+    (prefix product, degree left) pairs, and each entry is one prefix times
+    one precomputed x_{m-1}^a x_m^(left-a), so an entry costs one integer
+    multiply.
+    """
+    if len(p) == 1:
+        return [p[0] ** e]
+    *head, x, y = p
+    xs, ys = _powers(x, e), _powers(y, e)
+    tails = [[xs[a] * ys[k - a] for a in range(k, -1, -1)] for k in range(e + 1)]
+    level = [(1, e)]
+    for c in head:
+        cs = _powers(c, e)
+        level = [(acc * cs[a], k - a) for acc, k in level for a in range(k, -1, -1)]
+    return [acc * v for acc, k in level for v in tails[k]]
+
+
 def _monomial_series(series: Sequence[Sequence[int]], d: int, cap: int) -> list[list[int]]:
     """[t^j] prod_i s_i(t)^beta_i for j < cap, one list per beta in
     monomial_basis(m, d), from integer series s_0..s_m.
 
-    Each s_i^e (e <= d, truncated) is tabulated once; the basis is walked
-    coordinate by coordinate in its own order, so a column costs one
-    truncated product per coordinate and columns with a common prefix of
-    exponents share those products.
+    With cap = 1 (reduced points) these are the values prod_i s_i(0)^beta_i,
+    read off ``_power_table``.  Otherwise each s_i^e (e <= d, truncated) is
+    tabulated once; the basis is walked coordinate by coordinate in its own
+    order, so a column costs one truncated product per coordinate and
+    columns with a common prefix of exponents share those products.
     """
+    if cap == 1:
+        return [[v] for v in _power_table([s[0] for s in series], d)]
     m = len(series) - 1
     tables = []
     for s in series:
@@ -197,18 +234,19 @@ def power_expand(L: LinearForm, d: int) -> Form:
     """L^d by multinomial expansion; the degree-d embedding of the point L.
 
     Coefficient of x^alpha: multinomial(d, alpha) * prod_i c_i^alpha_i,
-    computed on the numerators n_i = c_i * D and divided by D^d once.
+    computed as the cached multinomials times the power table of the
+    numerators n_i = c_i * D, divided by D^d once.
     """
     if d < 1:
         raise InputError("power_expand needs d >= 1")
-    basis = monomial_basis(L.m, d)
     (nums,), D = _clear_denominators([L.coeffs])
     den = D**d
-    cols = _monomial_series([[n] for n in nums], d, 1)
     return Form(
         L.m,
         d,
-        tuple(Fraction(multinomial(d, alpha) * col[0], den) for alpha, col in zip(basis, cols)),
+        tuple(
+            Fraction(c * v, den) for c, v in zip(_multinomials(L.m, d), _power_table(nums, d))
+        ),
     )
 
 

@@ -17,10 +17,14 @@ Jets make spans computable in exact arithmetic: the rows spanned by the
 degree-d image of a length-k jet are the t^0..t^(k-1) coefficients of
 (c(t) . x)^d.  Conditions matrices collect the dual functionals (point
 evaluation, jet coefficient extraction, and the derivatives at fat points
-and (2,3)-points, all read off one integer table of partial derivatives per
-coordinate), and h1 = degree - rank measures the failure to impose
-independent conditions.  That rank is proved by a rank probe modulo a prime
-when the probe is full, and by Bareiss elimination otherwise.
+and (2,3)-points), and h1 = degree - rank measures the failure to impose
+independent conditions.  Point values come from one integer power table
+p^alpha per point and degree; a derivative row gathers its entries from
+that table through a plan cached per (m, d, gamma), and a (2,3)-point row
+is a sum of whole scaled derivative rows.  A scheme of degree above
+``forms.MAX_MONOMIALS`` is refused, as a degree with more monomials is.
+The rank is proved by a rank probe modulo a prime when the probe is full,
+and by Bareiss elimination otherwise.
 """
 
 from __future__ import annotations
@@ -30,16 +34,22 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial, prod
+from operator import add, mul, sub
 from typing import List, Sequence, Tuple, Union
 
 from .errors import InputError, UnsupportedComponentError
 from .forms import (
+    MAX_MONOMIALS,
+    MultiIndex,
     _clear_denominators,
     _monomial_series,
+    _multinomials,
+    _power_table,
     _tmul,
     monomial_basis,
-    multinomial,
+    monomial_index,
     int_from_json,
     list_from_json,
     rat_from_json,
@@ -229,7 +239,7 @@ def span_matrix(Z: SchemeSpec, d: int) -> QMatrix:
     rows with column beta scaled by multinomial(d, beta)."""
     if d < 1:
         raise InputError("span_matrix needs d >= 1")
-    mults = [multinomial(d, beta) for beta in monomial_basis(Z.m, d)]
+    mults = _multinomials(Z.m, d)
     nums: list = []
     dens: list = []
     for comp in Z.components:
@@ -251,29 +261,48 @@ def _chart_index(point: Vector) -> int:
     return best
 
 
+@lru_cache(maxsize=None)
+def _derivative_plan(m: int, d: int, gamma: MultiIndex) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Gather plan of d^gamma over the degree-d basis, |gamma| <= d: for
+    each beta the index of beta - gamma in the degree-(d - |gamma|) basis
+    and the factor prod_i beta_i! / (beta_i - gamma_i)!; both are 0 unless
+    gamma <= beta, so the entry is 0 there."""
+    index = monomial_index(m, d - sum(gamma))
+    fact = [factorial(e) for e in range(d + 1)]
+    idx, ff = [], []
+    for beta in monomial_basis(m, d):
+        rest = tuple(map(sub, beta, gamma))
+        if min(rest) < 0:
+            idx.append(0)
+            ff.append(0)
+        else:
+            idx.append(index[rest])
+            ff.append(prod(fact[b] // fact[r] for b, r in zip(beta, rest)))
+    return tuple(idx), tuple(ff)
+
+
 def _derivative_rows(m: int, p: Sequence[int], gammas, d: int) -> list[list[int]]:
     """Integer rows of the functionals x^beta -> d^gamma x^beta (p) over the
     degree-d basis, one row per gamma, at an integer vector p:
 
-        entry (gamma, beta) = prod_i beta_i! / (beta_i - gamma_i)! * p_i^(beta_i - gamma_i),
+        entry (gamma, beta) = prod_i beta_i! / (beta_i - gamma_i)! * p^(beta - gamma),
 
-    zero unless gamma <= beta; the factors come from one table per
-    coordinate.
+    zero unless gamma <= beta, and zero throughout when |gamma| > d.  Each
+    row gathers p^(beta - gamma) from one power table per degree
+    d - |gamma| and scales it by the plan's factors.
     """
-    k = max(max(g) for g in gammas) + 1
-    fact = [factorial(e) for e in range(d + 1)]
-    tables = [
-        [
-            [fact[b] // fact[b - g] * x ** (b - g) if b >= g else 0 for b in range(d + 1)]
-            for g in range(k)
-        ]
-        for x in p
-    ]
-    basis = monomial_basis(m, d)
+    ncols = len(monomial_basis(m, d))
+    tables: dict[int, list[int]] = {}
     rows = []
     for gamma in gammas:
-        factors = [tab[g] for tab, g in zip(tables, gamma)]
-        rows.append([prod(f[b] for f, b in zip(factors, beta)) for beta in basis])
+        e = d - sum(gamma)
+        if e < 0:
+            rows.append([0] * ncols)
+            continue
+        if e not in tables:
+            tables[e] = _power_table(p, e)
+        idx, ff = _derivative_plan(m, d, gamma)
+        rows.append(list(map(mul, map(tables[e].__getitem__, idx), ff)))
     return rows
 
 
@@ -325,18 +354,21 @@ def _two_three_condition_block(m: int, comp: TwoThreePoint, d: int):
     ws = _complete_basis(m, [comp.point, comp.direction])[2:]
     (q,), DQ = _clear_denominators([comp.point])
     (v, *ws), DU = _clear_denominators([comp.direction, *ws])
-    gammas = [g for j in range(3) for g in monomial_basis(m, j)]
-    table = dict(zip(gammas, _derivative_rows(m, q, gammas, d)))
-    rows, dens = [], []
+    ops, dens = [], []
     for dirs in [(), (v,), (v, v)] + [f for w in ws for f in ((w,), (v, w))]:
         op = Counter()  # gamma -> coefficient of d^gamma
         for idx in itertools.product(range(m + 1), repeat=len(dirs)):
             op[tuple(idx.count(i) for i in range(m + 1))] += prod(u[i] for u, i in zip(dirs, idx))
-        coeffs = list(op.values())
-        rows.append(
-            [sum(c * x for c, x in zip(coeffs, col)) for col in zip(*(table[g] for g in op))]
-        )
+        ops.append([(g, c) for g, c in op.items() if c])
         dens.append(DU ** len(dirs) * DQ ** max(d - len(dirs), 0))
+    gammas = sorted({g for op in ops for g, _ in op})
+    table = dict(zip(gammas, _derivative_rows(m, q, gammas, d)))
+    rows = []
+    for (g, c), *rest in ops:
+        row = [c * x for x in table[g]]
+        for g, c in rest:
+            row = list(map(add, row, map(c.__mul__, table[g])))
+        rows.append(row)
     return rows, dens
 
 
@@ -345,10 +377,15 @@ def conditions_matrix(Z: SchemeSpec, d: int) -> QMatrix:
 
     One block per component: evaluation for reduced points, jet coefficient
     extraction, derivatives of order < k for fat points, and the adapted
-    derivative functionals for (2,3)-points.
+    derivative functionals for (2,3)-points.  A scheme of degree above
+    MAX_MONOMIALS is refused before any row is built, as a degree with more
+    columns is.
     """
     if d < 1:
         raise InputError("conditions_matrix needs d >= 1")
+    degree = scheme_degree(Z)
+    if degree > MAX_MONOMIALS:
+        raise InputError(f"scheme degree {degree} exceeds {MAX_MONOMIALS} conditions rows")
     ncols = len(monomial_basis(Z.m, d))
     nums: list = []
     dens: list = []

@@ -203,6 +203,25 @@ def test_exit_2_on_monomial_basis_beyond_cap(capsys):
     assert captured.err.startswith("input error: ") and captured.err.count("\n") == 1
 
 
+def test_exit_2_on_conditions_rows_beyond_cap(tmp_path, capsys):
+    # a fat point of multiplicity 3000 in P^2 has C(3001, 2) = 4.5 million
+    # conditions rows; refused before any of them is built
+    p = tmp_path / "fat.json"
+    p.write_text(
+        json.dumps(
+            {
+                "m": 2,
+                "components": [{"kind": "fat", "multiplicity": 3000, "point": [1, 2, 3]}],
+            }
+        )
+    )
+    code = main(["h1", "2", "--scheme", str(p)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("input error: ") and captured.err.count("\n") == 1
+    assert "4501500" in captured.err
+
+
 def test_exit_2_on_conic_parts_beyond_parameter_box(capsys):
     code = main(
         ["construct", "2", "5", "--conic-a", "2,2,2", "--conic-b", "3,3", "--bound", "1"]
@@ -300,3 +319,17 @@ def test_exit_2_on_unwritable_out(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == "" and not target.exists()
     assert captured.err.startswith(f"cannot write {target}: ") and captured.err.count("\n") == 1
+
+
+def test_main_repeats_in_process(capsys):
+    # the parser is built once per process; an argparse error in between
+    # must leave nothing behind for the next call
+    argv = ["construct", "2", "6", "--line-jet", "2,1", "--seed", "1", "--format", "table"]
+    code, first = run_cli(capsys, *argv)
+    assert code == 0 and first
+    with pytest.raises(SystemExit) as exc:
+        main(["construct", "2", "6", "--seed", "3"])
+    assert exc.value.code == 2
+    assert "one of the arguments" in capsys.readouterr().err
+    code, again = run_cli(capsys, *argv)
+    assert code == 0 and again == first

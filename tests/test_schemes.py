@@ -188,14 +188,18 @@ def test_conditions_double_point_explicit():
 @SETTINGS
 @given(
     st.integers(1, 3).flatmap(lambda m: st.tuples(st.just(m), vectors(m))),
-    st.integers(2, 3),
+    st.integers(2, 5),
     st.integers(1, 7),
 )
 @example((2, frac(F(1, 2), F(-7, 3), 2)), 3, 4)
 @example((3, frac(F(-5, 4), 1, F(-1, 3), F(5, 4))), 2, 5)
+@example((3, frac(0, F(-7, 2), 0, F(5, 3))), 5, 3)
 def test_fat_point_rows_match_oracle(point_in, k, d):
     """Negative and rational chart coordinates included; in the second
-    example two coordinates tie for the largest, so the first is the chart."""
+    example two coordinates tie for the largest, so the first is the chart.
+    Multiplicities up to 5 reach the quadruple points of osculating2 and
+    derivative orders above d, whose rows are zero; the third example has
+    zero coordinates on both sides of the chart coordinate."""
     m, point = point_in
     assume(any(point))
     M = conditions_matrix(SchemeSpec(m, (FatPoint(point, k),)), d)
