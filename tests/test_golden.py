@@ -16,8 +16,10 @@ before the probe packed its rows, and three derivative-row cases recorded
 before those rows were gathered from power tables: ``h1 1`` of the fat
 scheme (every derivative of order >= 2 lies above d, so its rows are zero),
 ``h1 4`` of a P^3 quadruple point with zero and negative rational
-coordinates plus two double points, and ``terracini --kind osculating2``.
-The inputs live in ``tests/golden/``.
+coordinates plus two double points, and ``terracini --kind osculating2``,
+and three certified power-sum constructions in P^3 recorded before their
+power sums were computed in integers and their full-rank tests took the
+modular proof.  The inputs live in ``tests/golden/``.
 
 Record the digests again, only for a change that means to alter output:
 
@@ -90,12 +92,22 @@ DERIVATIVE_COMMANDS = [
     "terracini 3 5 --kind osculating2 --t 2 --seed 0",
 ]
 
+# Certified power-sum decompositions at seed 1 and at a larger coordinate
+# bound; recorded before the power sums were summed in integers and the
+# full-rank tests took the modular proof.
+POWER_SUM_COMMANDS = [
+    "construct 3 9 --line-jet 2,1 --seed 1",
+    "construct 3 9 --tangent 4 --seed 1",
+    "construct 3 9 --line-jet 2,1 --bound 1000 --seed 0",
+]
+
 CORPUS = (
     [f"{c} --seed {s}" for c in README_COMMANDS for s in (0, 1)]
     + FILE_COMMANDS
     + SCALE_UP_COMMANDS
     + GAMMA_COMMANDS
     + DERIVATIVE_COMMANDS
+    + POWER_SUM_COMMANDS
 )
 
 
