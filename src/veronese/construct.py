@@ -31,7 +31,8 @@ from .forms import (
     _contraction_rows,
     catalecticant_matrix,
     form_to_json,
-    power_expand,
+    power_rows,
+    power_sum,
     product_expand,
     rat_to_str,
 )
@@ -40,6 +41,7 @@ from .rationalla import (
     kernel_basis,
     membership_solve,
     rank_exact,
+    rank_with_fastpath,
 )
 from .schemes import (
     FatPoint,
@@ -99,13 +101,11 @@ class Summand:
     coeff: Fraction
     linear: LinearForm
 
-    def expand(self, d: int) -> Form:
-        return power_expand(self.linear, d).scale(self.coeff)
-
 
 @dataclass(frozen=True)
 class DecompositionRecord:
-    """An exact identity target = sum of summands; verified on construction."""
+    """An exact identity target = sum of summands; verified on construction,
+    n * q == p * den for each sum coefficient n / den and target p / q."""
 
     m: int
     d: int
@@ -115,14 +115,19 @@ class DecompositionRecord:
     def __post_init__(self):
         if not self.summands:
             raise InputError("decomposition needs at least one summand")
-        if self.expand() != self.target:
+        ms = {s.linear.m for s in self.summands} | {self.target.m}
+        if ms != {self.m} or self.target.d != self.d:
+            raise InputError("decomposition and target live in different spaces")
+        nums, den = self._sum()
+        if any(n * q.denominator != q.numerator * den for n, q in zip(nums, self.target.coeffs)):
             raise InputError("decomposition does not re-expand to its target")
 
+    def _sum(self) -> tuple[list[int], int]:
+        return power_sum(self.m, self.d, ((s.coeff, s.linear.coeffs) for s in self.summands))
+
     def expand(self) -> Form:
-        total = Form(self.m, self.d, (Fraction(0),) * comb(self.m + self.d, self.m))
-        for s in self.summands:
-            total = total + s.expand(self.d)
-        return total
+        nums, den = self._sum()
+        return Form(self.m, self.d, tuple(Fraction(n, den) for n in nums))
 
     @property
     def size(self) -> int:
@@ -152,10 +157,11 @@ def _nonzero_int(rng: random.Random, bound: int) -> int:
 
 
 def _distinct_nonzero_ints(rng: random.Random, count: int, bound: int) -> list[int]:
-    population = [v for v in range(-bound, bound + 1) if v != 0]
-    if count > len(population):
+    """rng.sample of count values from -bound..-1, 1..bound, drawn by index
+    so that no list of all 2 * bound values is built."""
+    if count > 2 * bound:
         raise InputError("bound too small for the requested point count")
-    return rng.sample(population, count)
+    return [j - bound + (j >= bound) for j in rng.sample(range(2 * bound), count)]
 
 
 def _point_on_line(Q0, V, z) -> tuple[Fraction, ...]:
@@ -225,7 +231,7 @@ def _span_claims(
     off independent rows.
     """
     t = scheme_degree(Z)
-    r = rank_exact(S)
+    r = rank_with_fastpath(S)
     claims: List[Claim] = []
     _require(claims, Claim(independence, (r, t - r), r == t))
     sol = membership_solve(S, P.coeffs)
@@ -279,9 +285,9 @@ def _sample_jet_on_line(
         return None
     zs = _distinct_nonzero_ints(rng, n_line, bound)
     line_pts = [_point_on_line(Q0, V, z) for z in zs]
-    A = QMatrix.from_rows([power_expand(LinearForm(m, p), d).coeffs for p in line_pts])
+    A = power_rows(m, d, line_pts)
     J = span_matrix(SchemeSpec(m, (jet,)), d)
-    if rank_exact(A) != n_line or rank_exact(J) != k:
+    if rank_with_fastpath(A) != n_line or rank_with_fastpath(J) != k:
         return None
     inter = _intersect_spans(A, J)
     if len(inter) != 1:
@@ -300,9 +306,8 @@ def _plus_point_powers(
     """Q plus a random nonzero multiple c_i of the d-th power of each point;
     returns the sum and the multiples."""
     cs = [Fraction(_nonzero_int(rng, bound)) for _ in pts]
-    for c, r in zip(cs, pts):
-        Q = Q + power_expand(LinearForm(Q.m, r.point), Q.d).scale(c)
-    return Q, cs
+    nums, den = power_sum(Q.m, Q.d, ((c, r.point) for c, r in zip(cs, pts)))
+    return Q + Form(Q.m, Q.d, tuple(Fraction(n, den) for n in nums)), cs
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +508,7 @@ class SylvesterResult:
 
 def _split_decomposition(f: Form, roots) -> Optional[DecompositionRecord]:
     lins = [LinearForm.make([a, b]) for a, b in roots]
-    rows = QMatrix.from_rows([power_expand(L, f.d).coeffs for L in lins])
+    rows = power_rows(1, f.d, [L.coeffs for L in lins])
     sol = membership_solve(rows, f.coeffs)
     if sol is None:
         return None
@@ -755,7 +760,7 @@ def construct_stratum_point(
         except InputError:
             continue
         S = span_matrix(Z, d)
-        if rank_exact(S) != t:
+        if rank_with_fastpath(S) != t:
             continue
         lam = [Fraction(_nonzero_int(rng, bound)) for _ in range(t)]
         P = Form(m, d, tuple(_combine_rows(S, lam)))
@@ -860,8 +865,8 @@ def construct_line_jet(
         zero = tuple(Fraction(0) for _ in range(m + 1))
         full_jet = Jet((Q0, V) + (zero,) * (d - 1))
         full_rows = span_matrix(SchemeSpec(m, (full_jet,)), d)
-        S1_rows = QMatrix.from_rows([power_expand(LinearForm(m, r.point), d).coeffs for r in pts])
-        dim_claim_rank = rank_exact(full_rows.stack(S1_rows))
+        S1_rows = power_rows(m, d, [r.point for r in pts])
+        dim_claim_rank = rank_with_fastpath(full_rows.stack(S1_rows))
 
         c0 = Fraction(_nonzero_int(rng, bound))
         P, cs = _plus_point_powers(rng, Qpt.scale(c0), pts, bound)

@@ -230,45 +230,68 @@ def _monomial_series(series: Sequence[Sequence[int]], d: int, cap: int) -> list[
     return out
 
 
-def power_expand(L: LinearForm, d: int) -> Form:
-    """L^d by multinomial expansion; the degree-d embedding of the point L.
+def _power_numerators(coeffs: Sequence[Fraction], d: int) -> tuple[list[int], int]:
+    """L^d for L = sum_i coeffs[i] x_i, as integer numerators over D^d.
 
-    Coefficient of x^alpha: multinomial(d, alpha) * prod_i c_i^alpha_i,
-    computed as the cached multinomials times the power table of the
-    numerators n_i = c_i * D, divided by D^d once.
+    Numerator of x^alpha: multinomial(d, alpha) * prod_i n_i^alpha_i, the
+    cached multinomials times the power table of the numerators
+    n_i = coeffs[i] * D over one common denominator D.
     """
+    (nums,), D = _clear_denominators([coeffs])
+    multinomials = _multinomials(len(coeffs) - 1, d)
+    return [c * v for c, v in zip(multinomials, _power_table(nums, d))], D**d
+
+
+def power_expand(L: LinearForm, d: int) -> Form:
+    """L^d by multinomial expansion; the degree-d embedding of the point L."""
     if d < 1:
         raise InputError("power_expand needs d >= 1")
-    (nums,), D = _clear_denominators([L.coeffs])
-    den = D**d
-    return Form(
-        L.m,
-        d,
-        tuple(
-            Fraction(c * v, den) for c, v in zip(_multinomials(L.m, d), _power_table(nums, d))
-        ),
-    )
+    nums, den = _power_numerators(L.coeffs, d)
+    return Form(L.m, d, tuple(Fraction(n, den) for n in nums))
 
 
-def _mul_dicts(a: Dict[MultiIndex, Fraction], b: Dict[MultiIndex, Fraction]):
-    out: Dict[MultiIndex, Fraction] = {}
+def power_sum(
+    m: int, d: int, terms: Iterable[tuple[Fraction, Sequence[Fraction]]]
+) -> tuple[list[int], int]:
+    """sum_i c_i L_i^d over the terms (c_i, the m+1 coordinates of L_i):
+    integer numerators over one common denominator, not reduced."""
+    powers = [(c, *_power_numerators(point, d)) for c, point in terms]
+    den = lcm(*(c.denominator * D for c, _, D in powers))
+    out = [0] * comb(m + d, m)
+    for c, nums, D in powers:
+        if c:
+            f = c.numerator * (den // (c.denominator * D))
+            out = [o + f * x for o, x in zip(out, nums)]
+    return out, den
+
+
+def power_rows(m: int, d: int, points: Sequence[Sequence[Fraction]]) -> QMatrix:
+    """One row L^d per point, L = point . x, each over its own denominator."""
+    rows = [_power_numerators(p, d) for p in points]
+    return QMatrix.from_ints(comb(m + d, m), [n for n, _ in rows], [D for _, D in rows])
+
+
+def _mul_dicts(a: Dict[MultiIndex, int], b: Dict[MultiIndex, int]) -> Dict[MultiIndex, int]:
+    out: Dict[MultiIndex, int] = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            out[e] = out.get(e, Fraction(0)) + ca * cb
-    return {e: c for e, c in out.items() if c != 0}
+            e = tuple(map(add, ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
 
 
 def product_expand(factors: Iterable[tuple]) -> Form:
     """Exact product of (form_or_linear, exponent) factors.
 
-    All factors must share the same m.
+    All factors must share the same m.  Integer term dicts are multiplied,
+    each factor's over its own denominator D_f, then divided by prod D_f^e.
     """
     factors = list(factors)
     if not factors:
         raise InputError("product_expand needs at least one factor")
     m = None
-    acc: Dict[MultiIndex, Fraction] = {}
+    acc: Dict[MultiIndex, int] = {}
+    den = 1
     total = 0
     for obj, e in factors:
         if e < 0:
@@ -278,30 +301,16 @@ def product_expand(factors: Iterable[tuple]) -> Form:
             raise InputError(f"not a form: {obj!r}")
         if m is None:
             m = f.m
-            acc = {(0,) * (m + 1): Fraction(1)}
+            acc = {(0,) * (m + 1): 1}
         elif f.m != m:
             raise InputError("mixed variable counts in product")
-        fd = f.terms()
+        (nums,), D = _clear_denominators([f.coeffs])
+        terms = {a: n for a, n in zip(monomial_basis(m, f.d), nums) if n}
         for _ in range(e):
-            acc = _mul_dicts(acc, fd)
+            acc = _mul_dicts(acc, terms)
+        den *= D**e
         total += e * f.d
-    return Form.from_dict(m, total, acc)
-
-
-def evaluate(F: Form, point: Sequence) -> Fraction:
-    pt = [_q(x) for x in point]
-    if len(pt) != F.m + 1:
-        raise InputError("point length mismatch")
-    total = Fraction(0)
-    for alpha, c in zip(monomial_basis(F.m, F.d), F.coeffs):
-        if c == 0:
-            continue
-        v = c
-        for x, a in zip(pt, alpha):
-            if a:
-                v *= x**a
-        total += v
-    return total
+    return Form.from_dict(m, total, {a: Fraction(n, den) for a, n in acc.items()})
 
 
 def _contraction_rows(F: Form, a: int) -> QMatrix:
@@ -343,27 +352,6 @@ def catalecticant_matrix(F: Form, a: int) -> QMatrix:
     if not 1 <= a <= F.d - 1:
         raise InputError("catalecticant needs 1 <= a <= d-1")
     return _contraction_rows(F, a)
-
-
-def substitute(F: Form, images: Sequence[LinearForm]) -> Form:
-    """F with x_i replaced by images[i]; an exact linear change of variables."""
-    if len(images) != F.m + 1:
-        raise InputError("need m+1 substitution images")
-    m_new = images[0].m
-    if any(L.m != m_new for L in images):
-        raise InputError("substitution images must share the variable count")
-    out: Dict[MultiIndex, Fraction] = {}
-    lin_dicts = [L.to_form().terms() for L in images]
-    for alpha, c in zip(monomial_basis(F.m, F.d), F.coeffs):
-        if c == 0:
-            continue
-        acc = {(0,) * (m_new + 1): Fraction(1)}
-        for ld, a in zip(lin_dicts, alpha):
-            for _ in range(a):
-                acc = _mul_dicts(acc, ld)
-        for e, v in acc.items():
-            out[e] = out.get(e, Fraction(0)) + c * v
-    return Form.from_dict(m_new, F.d, out)
 
 
 # Canonical rational strings ("p/q" in lowest terms, q > 0; integers drop

@@ -186,11 +186,15 @@ class SchemeSpec:
                     raise InputError(
                         f"component {i}: coordinate length {len(v)} != m+1"
                     )
-        sups = [c.support for c in self.components]
-        for i in range(len(sups)):
-            for j in range(i + 1, len(sups)):
-                if _dependent(sups[i], sups[j]):
-                    raise InputError(f"components {i} and {j} share a support")
+        # nonzero supports share a point when they agree divided by their lead
+        groups: dict[Vector, list[int]] = {}
+        for i, comp in enumerate(self.components):
+            lead = Fraction(next(x for x in comp.support if x))
+            groups.setdefault(tuple(x / lead for x in comp.support), []).append(i)
+        shared = [g for g in groups.values() if len(g) > 1]
+        if shared:
+            i, j = min(shared)[:2]
+            raise InputError(f"components {i} and {j} share a support")
 
 
 @dataclass(frozen=True)

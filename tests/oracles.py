@@ -3,8 +3,9 @@
 These deliberately avoid the library's code paths: rank, kernels and
 membership via plain rational Gauss-Jordan elimination with pivot
 normalization, the modular rank via Gaussian elimination on lists of
-residues mod p, polynomial arithmetic via a naive exponent-dictionary
-convolution, partition counting via the Euler recurrence.  Two exceptions
+residues mod p, polynomial arithmetic (powers, power sums, products,
+substitution) via a naive exponent-dictionary convolution in Fractions,
+partition counting via the Euler recurrence.  Two exceptions
 must make the library's own choices: the binary Waring-rank search picks
 the same witness, so it walks the library's apolar kernel bases in its
 candidate order, and the (2,3)-point rows use the library's completion of
@@ -18,6 +19,7 @@ import itertools
 from fractions import Fraction
 from math import comb
 
+from veronese.forms import Form, LinearForm
 from veronese.rationalla import QMatrix
 from veronese.schemes import Jet, Reduced, SchemeSpec, span_matrix
 
@@ -161,6 +163,54 @@ def poly_dict_to_coeffs(terms: dict, m: int, d: int):
     from veronese.forms import monomial_basis
 
     return [terms.get(alpha, Fraction(0)) for alpha in monomial_basis(m, d)]
+
+
+def naive_power_sum(m: int, d: int, terms):
+    """sum_i c_i (L_i)^d for terms (c_i, coordinates of L_i), re-expanded
+    term by term in Fractions; grlex coefficient list."""
+    total = {}
+    for c, point in terms:
+        for e, v in naive_power(point, d).items():
+            total[e] = total.get(e, Fraction(0)) + Fraction(c) * v
+    return poly_dict_to_coeffs(total, m, d)
+
+
+def naive_product_expand(factors):
+    """prod f^e over (f, e) pairs of forms or linear forms sharing m, by
+    Fraction convolution of their term dicts; grlex coefficient list."""
+    forms = [(f.to_form() if isinstance(f, LinearForm) else f, e) for f, e in factors]
+    m = forms[0][0].m
+    acc = {(0,) * (m + 1): Fraction(1)}
+    for f, e in forms:
+        for _ in range(e):
+            acc = naive_poly_mul(acc, f.terms())
+    return poly_dict_to_coeffs(acc, m, sum(f.d * e for f, e in forms))
+
+
+def substitute(F: Form, images) -> Form:
+    """F with x_i replaced by the linear form images[i]; an exact linear
+    change of variables."""
+    m_new = images[0].m
+    out = {}
+    for alpha, c in F.terms().items():
+        acc = {(0,) * (m_new + 1): Fraction(1)}
+        for L, a in zip(images, alpha):
+            for _ in range(a):
+                acc = naive_poly_mul(acc, L.to_form().terms())
+        for e, v in acc.items():
+            out[e] = out.get(e, Fraction(0)) + c * v
+    return Form.from_dict(m_new, F.d, out)
+
+
+def evaluate(F: Form, point) -> Fraction:
+    """F at the point, summed monomial by monomial."""
+    total = Fraction(0)
+    for alpha, c in F.terms().items():
+        v = c
+        for x, a in zip(point, alpha):
+            v *= Fraction(x) ** a
+        total += v
+    return total
 
 
 def naive_diff(terms: dict, var: int) -> dict:

@@ -10,7 +10,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from math import comb
 
-from oracles import naive_membership, naive_rank, proper_subscheme_spans
+from oracles import naive_membership, naive_rank, proper_subscheme_spans, substitute
 from veronese.construct import (
     construct_conic_double,
     construct_line_jet,
@@ -21,7 +21,7 @@ from veronese.construct import (
     sylvester_binary,
     terracini_dim,
 )
-from veronese.forms import LinearForm, power_expand, product_expand, substitute
+from veronese.forms import LinearForm, power_expand, product_expand
 from veronese.rationalla import QMatrix, rank_exact
 from veronese.schemes import (
     FatPoint,

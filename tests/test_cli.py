@@ -1,4 +1,8 @@
 import json
+import os
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,6 +12,7 @@ from veronese.errors import InputError
 from veronese.schemes import scheme_to_json
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -183,6 +188,24 @@ def test_exit_2_on_bound_below_one(capsys):
     code = main(["construct", "2", "9", "--label", "2,1,1", "--bound", "0"])
     err = capsys.readouterr().err
     assert code == 2 and "--bound" in err
+
+
+def test_construct_line_jet_at_a_large_bound():
+    # the line points are drawn without listing all 2 * bound candidates; a
+    # child process under a 1.5 GB address-space limit shows it
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, 1_500_000_000))
+
+    argv = ["construct", "3", "9", "--line-jet", "2,1", "--bound", "100000000"]
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "veronese.cli", *argv],
+        capture_output=True, text=True, env=env, preexec_fn=limit, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert all(c["passed"] for c in report["certificate"]["claims"])
+    assert report["decomposition"]["size"] == 10
 
 
 def test_exit_2_on_stratify_beyond_partition_bound(capsys):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -9,6 +10,7 @@ from veronese.construct import (
     DecompositionRecord,
     Summand,
     _combine_rows,
+    _distinct_nonzero_ints,
     _exclusion_claim,
     certificate_to_json,
     certify_border_rank,
@@ -28,8 +30,8 @@ from veronese.forms import (
     Form,
     LinearForm,
     power_expand,
+    power_sum,
     product_expand,
-    substitute,
 )
 from veronese.rationalla import QMatrix, membership_solve, rank_exact
 from veronese.schemes import (
@@ -44,7 +46,12 @@ from veronese.schemes import (
 )
 from veronese.strata import StratumLabel
 
-from oracles import naive_membership, proper_subscheme_spans, sylvester_rank_oracle
+from oracles import (
+    naive_membership,
+    proper_subscheme_spans,
+    substitute,
+    sylvester_rank_oracle,
+)
 
 F = Fraction
 
@@ -76,6 +83,42 @@ def test_decomposition_verifies_on_construction():
         DecompositionRecord(
             1, 3, (Summand(F(2), L1),), target
         )
+
+
+def test_decomposition_refuses_a_target_off_by_a_small_rational():
+    summands = (
+        Summand(F(1), LinearForm.make([1, F(1, 2)])),
+        Summand(F(5, 7), LinearForm.make([F(1, 3), -1])),
+    )
+    target = power_expand(summands[0].linear, 3) + power_expand(summands[1].linear, 3).scale(
+        F(5, 7)
+    )
+    assert DecompositionRecord(1, 3, summands, target).expand() == target
+    _, den = power_sum(1, 3, [(s.coeff, s.linear.coeffs) for s in summands])
+    for i in range(4):
+        off = list(target.coeffs)
+        off[i] += F(1, den + 1)
+        with pytest.raises(InputError):
+            DecompositionRecord(1, 3, summands, Form(1, 3, tuple(off)))
+    # targets whose leading coefficients agree but whose (m, d) differ
+    for m, d in ((1, 4), (2, 3)):
+        padded = target.coeffs + (F(0),) * (comb(m + d, m) - 4)
+        with pytest.raises(InputError):
+            DecompositionRecord(1, 3, summands, Form(m, d, padded))
+
+
+def test_distinct_nonzero_ints_equal_the_list_sampler():
+    """Same draws and same generator state as rng.sample over the list of
+    the 2 * bound nonzero values."""
+    for seed in range(30):
+        for bound in (1, 2, 3, 10, 1000):
+            for count in range(1, min(12, 2 * bound) + 1):
+                a, b = random.Random(seed), random.Random(seed)
+                population = [v for v in range(-bound, bound + 1) if v != 0]
+                assert _distinct_nonzero_ints(a, count, bound) == b.sample(population, count)
+                assert a.getstate() == b.getstate()
+    with pytest.raises(InputError):
+        _distinct_nonzero_ints(random.Random(0), 5, 2)
 
 
 # --- sylvester ------------------------------------------------------------
@@ -258,14 +301,17 @@ def test_certify_refuses_nonmember():
 
 
 def test_certify_refuses_dependent_scheme():
-    # d+2 collinear points are dependent in degree d: refused at independence,
-    # before any exclusion claim is read off the dependent rows
+    # d+1+extra collinear points are dependent in degree d: refused at
+    # independence, before any exclusion claim is read off the dependent rows,
+    # with the exact rank d+1 and h1 = extra
     d = 4
-    line = SchemeSpec(2, tuple(Reduced((F(1), F(z), F(0))) for z in range(d + 2)))
-    with pytest.raises(CertificateRefused) as e:
-        certify_border_rank(span_combo(line, d, [F(1)] * (d + 2)), line, d)
-    assert "imposes independent conditions" in e.value.statement
-    assert e.value.ranks == (d + 1, 1)
+    for extra in (1, 2):
+        t = d + 1 + extra
+        line = SchemeSpec(2, tuple(Reduced((F(1), F(z), F(0))) for z in range(t)))
+        with pytest.raises(CertificateRefused) as e:
+            certify_border_rank(span_combo(line, d, [F(1)] * t), line, d)
+        assert "imposes independent conditions" in e.value.statement
+        assert e.value.ranks == (d + 1, extra)
 
 
 @st.composite

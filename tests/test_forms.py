@@ -8,9 +8,13 @@ from hypothesis import strategies as st
 
 from oracles import (
     catalecticant_oracle,
+    evaluate,
     naive_power,
+    naive_power_sum,
     naive_poly_mul,
+    naive_product_expand,
     poly_dict_to_coeffs,
+    substitute,
 )
 from veronese.errors import InputError
 from veronese.forms import (
@@ -18,13 +22,13 @@ from veronese.forms import (
     LinearForm,
     _contraction_rows,
     catalecticant_matrix,
-    evaluate,
     form_from_json,
     form_to_json,
     monomial_basis,
     power_expand,
+    power_rows,
+    power_sum,
     product_expand,
-    substitute,
 )
 from veronese.rationalla import rank_exact
 
@@ -70,6 +74,23 @@ def test_power_expand_against_symbolic_oracle(m, d, data):
     assert list(power_expand(LinearForm.make(coeffs), d).coeffs) == expected
 
 
+@SETTINGS
+@given(st.integers(1, 3), st.integers(1, 10), st.data())
+def test_power_sum_and_rows_against_naive_re_expansion(m, d, data):
+    """Zero and negative coordinates and coefficients, zero points, and no
+    terms at all."""
+    points = data.draw(
+        st.lists(st.lists(coordinates, min_size=m + 1, max_size=m + 1), max_size=4)
+    )
+    cs = data.draw(st.lists(coordinates, min_size=len(points), max_size=len(points)))
+    terms = [(Fraction(c), p) for c, p in zip(cs, points)]
+    nums, den = power_sum(m, d, terms)
+    assert [Fraction(n, den) for n in nums] == naive_power_sum(m, d, terms)
+    rows = power_rows(m, d, points)
+    assert (rows.rows, rows.cols) == (len(points), comb(m + d, m))
+    assert rows.to_rows() == [poly_dict_to_coeffs(naive_power(p, d), m, d) for p in points]
+
+
 def test_power_expand_projective_scaling():
     rng = random.Random(8)
     for _ in range(10):
@@ -97,6 +118,24 @@ def test_product_expand_against_convolution_oracle():
     F = product_expand([(a, 4), (b, 1)])
     expected = naive_poly_mul(naive_power([1, 1, 0], 4), naive_power([1, 0, -1], 1))
     assert list(F.coeffs) == poly_dict_to_coeffs(expected, 2, 5)
+
+
+@SETTINGS
+@given(st.integers(1, 3), st.data())
+def test_product_expand_against_naive_convolution(m, data):
+    """Forms and linear forms with zero, negative and rational coefficients,
+    exponents 0..3, total degree at most 10."""
+    factors = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        deg = data.draw(st.integers(1, 3))
+        n = comb(m + deg, m)
+        coeffs = data.draw(st.lists(st.just(0) | coordinates, min_size=n, max_size=n))
+        f = Form.from_coeffs(m, deg, coeffs)
+        if deg == 1 and any(coeffs) and data.draw(st.booleans()):
+            f = LinearForm.make(coeffs)
+        factors.append((f, data.draw(st.integers(0, 3))))
+    assume(sum((1 if isinstance(f, LinearForm) else f.d) * e for f, e in factors) <= 10)
+    assert list(product_expand(factors).coeffs) == naive_product_expand(factors)
 
 
 def test_product_equals_repeated_power():

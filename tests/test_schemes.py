@@ -325,6 +325,46 @@ def test_dependent_is_rank_at_most_one(pair):
     assert _dependent(u, tuple(lam * x for x in u))
 
 
+def test_shared_support_reports_the_lowest_pair():
+    # supports A, B, B, A, each repeat a different multiple, B with a zero
+    # first coordinate: component 0 is the lowest with a later duplicate
+    A, B = frac(1, 2, -3), frac(0, F(1, 2), 1)
+    comps = (
+        Reduced(A),
+        FatPoint(B, 2),
+        Reduced(frac(0, -1, -2)),
+        Jet((frac(-2, -4, 6), E0)),
+    )
+    with pytest.raises(InputError, match="^components 0 and 3 share a support$"):
+        SchemeSpec(2, comps)
+
+
+@SETTINGS
+@given(st.integers(1, 3), st.data())
+def test_shared_support_matches_the_pairwise_check(m, data):
+    """Supports are nonzero multiples of a few base vectors, so repeats are
+    common; the reported pair is the pairwise loop's first."""
+    bases = data.draw(st.lists(vectors(m), min_size=1, max_size=3))
+    assume(all(any(v) for v in bases))
+    picks = data.draw(
+        st.lists(st.tuples(st.sampled_from(bases), coordinates.filter(bool)), min_size=1, max_size=6)
+    )
+    sups = [tuple(F(lam) * x for x in v) for v, lam in picks]
+    pairs = [
+        (i, j)
+        for i in range(len(sups))
+        for j in range(i + 1, len(sups))
+        if _dependent(sups[i], sups[j])
+    ]
+    comps = tuple(Reduced(v) for v in sups)
+    if not pairs:
+        assert SchemeSpec(m, comps).components == comps
+    else:
+        i, j = pairs[0]
+        with pytest.raises(InputError, match=f"^components {i} and {j} share a support$"):
+            SchemeSpec(m, comps)
+
+
 def test_collinear_points_superabundance():
     for m, d in ((2, 3), (2, 5), (3, 4)):
         pts = []
