@@ -19,7 +19,10 @@ scheme (every derivative of order >= 2 lies above d, so its rows are zero),
 coordinates plus two double points, and ``terracini --kind osculating2``,
 and three certified power-sum constructions in P^3 recorded before their
 power sums were computed in integers and their full-rank tests took the
-modular proof.  The inputs live in ``tests/golden/``.
+modular proof, and five flattening and line-construction cases plus a P^3
+``certify`` pair recorded before the flattening ranks took the capped probe
+and the line constructions were solved in binary coordinates.  The inputs
+live in ``tests/golden/``.
 
 Record the digests again, only for a change that means to alter output:
 
@@ -101,6 +104,20 @@ POWER_SUM_COMMANDS = [
     "construct 3 9 --line-jet 2,1 --bound 1000 --seed 0",
 ]
 
+# Flattening ranks below the probe's cap (label 5,1 at a = 2, 3; Cat_1 of
+# rank 3 < 4 for 3,1 in P^3), a membership-only label, the line-jet and
+# tangent constructions at d = 13 and 12, and ``certify`` of a P^3 point;
+# recorded before the flattening ranks took the capped probe and the line
+# constructions were solved in the line's own coordinates.
+FLATTENING_LINE_COMMANDS = [
+    "construct 2 9 --label 5,1 --seed 0",
+    "construct 3 9 --label 3,1 --seed 0",
+    "construct 3 9 --label 2,2,2 --seed 0",
+    "construct 3 13 --line-jet 3,2 --seed 0",
+    "construct 3 12 --tangent 5 --seed 0",
+    "certify --point certify_p3_point.json --scheme certify_p3_scheme.json",
+]
+
 CORPUS = (
     [f"{c} --seed {s}" for c in README_COMMANDS for s in (0, 1)]
     + FILE_COMMANDS
@@ -108,6 +125,7 @@ CORPUS = (
     + GAMMA_COMMANDS
     + DERIVATIVE_COMMANDS
     + POWER_SUM_COMMANDS
+    + FLATTENING_LINE_COMMANDS
 )
 
 
