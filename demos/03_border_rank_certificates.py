@@ -16,7 +16,7 @@ print(f"stratum {label} at (m, d) = ({m}, {d}); certified value b = {cert.value}
 for c in cert.claims:
     print(f"  [{'ok' if c.passed else 'FAIL'}] {c.statement}")
 
-fr, per_a = flattening_rank(P)
+fr, per_a = flattening_rank(P, label.t)
 print("\ncatalecticant ranks by contraction order:", dict(per_a))
 
 # Re-certify the same point from scratch, as a consumer of the files would.

@@ -40,6 +40,7 @@ from .rationalla import (
     QMatrix,
     kernel_basis,
     membership_solve,
+    modular_rank_probe,
     rank_exact,
     rank_with_fastpath,
 )
@@ -65,6 +66,7 @@ from .schemes import (
 from .strata import StratumLabel, sigma_stratum_dim
 
 MAX_ATTEMPTS = 64
+PROBE_PRIME = (1 << 31) - 1  # the prime of ``rank_with_fastpath``
 
 
 # ---------------------------------------------------------------------------
@@ -134,12 +136,28 @@ class DecompositionRecord:
         return len(self.summands)
 
 
-def flattening_rank(P: Form) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """Max catalecticant rank over a = 1..floor(d/2); a border-rank lower bound."""
+def flattening_rank(P: Form, t: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """Max catalecticant rank over a = 1..floor(d/2), a border-rank lower
+    bound, of a form P proved to lie in the span of nu_d(Z) with deg Z = t.
+
+    By the apolarity lemma (Iarrobino and Kanev, "Power Sums, Gorenstein
+    Algebras, and Determinantal Loci", 1999, Lemma 1.15) I_Z(a) lies in the
+    kernel of Cat_a(P), so rank Cat_a(P) <= h_Z(a) <= t.  The modular probe
+    never exceeds the rank, so a probe that reaches min(rows, cols, t) is the
+    exact rank; a lower one falls back to Bareiss.  A rank above t
+    contradicts the membership and raises InternalInconsistency.
+    """
     per_a = []
     best = 0
     for a in range(1, P.d // 2 + 1):
-        r = rank_exact(catalecticant_matrix(P, a))
+        M = catalecticant_matrix(P, a)
+        r = modular_rank_probe(M, PROBE_PRIME)
+        if r < min(M.rows, M.cols, t):
+            r = rank_exact(M)
+        if r > t:
+            raise InternalInconsistency(
+                f"flattening rank {r} exceeds certified degree {t}"
+            )
         per_a.append((a, r))
         best = max(best, r)
     return best, tuple(per_a)
@@ -219,10 +237,10 @@ def _require(claims: List[Claim], claim: Claim) -> None:
 
 
 def _span_claims(
-    Z: SchemeSpec, S: QMatrix, P: Form, independence: str, nonzero: bool = True
+    Z: SchemeSpec, S: QMatrix, r: int, P: Form, independence: str, nonzero: bool = True
 ) -> List[Claim]:
     """Independence, membership and exclusion claims for a curvilinear Z with
-    span matrix S and target P, from one rank and one solve.
+    span matrix S of rank r and target P, from that rank and one solve.
 
     h1 = deg Z - rank S, because the conditions rows are the span rows with
     column beta scaled by multinomial(d, beta) != 0.  With ``nonzero`` the
@@ -231,7 +249,6 @@ def _span_claims(
     off independent rows.
     """
     t = scheme_degree(Z)
-    r = rank_with_fastpath(S)
     claims: List[Claim] = []
     _require(claims, Claim(independence, (r, t - r), r == t))
     sol = membership_solve(S, P.coeffs)
@@ -650,9 +667,11 @@ def certify_border_rank(P: Form, Z: SchemeSpec, d: int) -> Certificate:
     if P.m != Z.m or P.d != d:
         raise InputError("form and scheme live in different spaces")
     t = scheme_degree(Z)
+    S = span_matrix(Z, d)
     claims = _span_claims(
         Z,
-        span_matrix(Z, d),
+        S,
+        rank_with_fastpath(S),
         P,
         f"scheme of degree {t} imposes independent conditions in degree {d} (h1 = 0)",
         nonzero=False,
@@ -688,11 +707,8 @@ def certify_border_rank(P: Form, Z: SchemeSpec, d: int) -> Certificate:
                     True,
                 )
             )
-    fr, per_a = flattening_rank(P)
-    if fr > t:
-        raise InternalInconsistency(
-            f"flattening rank {fr} exceeds certified degree {t}"
-        )
+    # _span_claims has proved that P lies in the span of Z
+    fr, per_a = flattening_rank(P, t)
     if regime:
         if fr != t:
             raise InternalInconsistency(
@@ -764,13 +780,13 @@ def construct_stratum_point(
             continue
         lam = [Fraction(_nonzero_int(rng, bound)) for _ in range(t)]
         P = Form(m, d, tuple(_combine_rows(S, lam)))
-        fr, per_a = flattening_rank(P)
+        fr, per_a = flattening_rank(P, t)
         regime = 2 * t <= d + 1
         if regime and fr != t:
             continue
         try:
             claims = _span_claims(
-                Z, S, P, f"scheme of degree {t} imposes independent conditions (h1 = 0)"
+                Z, S, t, P, f"scheme of degree {t} imposes independent conditions (h1 = 0)"
             )
         except CertificateRefused:
             continue
@@ -872,10 +888,12 @@ def construct_line_jet(
         P, cs = _plus_point_powers(rng, Qpt.scale(c0), pts, bound)
 
         t = t1 + s1
+        S = span_matrix(Z, d)
         try:
             claims = _span_claims(
                 Z,
-                span_matrix(Z, d),
+                S,
+                rank_with_fastpath(S),
                 P,
                 f"scheme jet({t1}) + {s1} points imposes independent conditions",
             )
@@ -974,9 +992,10 @@ def construct_tangent_plus_points(
         P, mus = _plus_point_powers(rng, Qjet, pts, bound)
 
         claims = [Claim("scheme is in linearly general position", (), lgp_check(Z))]
+        S = span_matrix(Z, d)
         try:
             claims += _span_claims(
-                Z, span_matrix(Z, d), P, "scheme imposes independent conditions (h1 = 0)"
+                Z, S, rank_with_fastpath(S), P, "scheme imposes independent conditions (h1 = 0)"
             )
         except CertificateRefused:
             continue

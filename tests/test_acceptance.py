@@ -158,7 +158,7 @@ def test_criterion_5_stratum_points_all_labels():
                 assert cert.all_passed, (lab.parts, seed)
                 assert cert.value == 4
                 assert len(proper_subscheme_spans(Z, 9)) == expected_subschemes
-                fr, _ = flattening_rank(P)
+                fr, _ = flattening_rank(P, 4)
                 assert fr == 4
 
 

@@ -12,6 +12,7 @@ from veronese.construct import (
     _combine_rows,
     _distinct_nonzero_ints,
     _exclusion_claim,
+    _point_on_line,
     certificate_to_json,
     certify_border_rank,
     construct_conic_double,
@@ -25,10 +26,12 @@ from veronese.construct import (
     sylvester_binary,
     terracini_dim,
 )
-from veronese.errors import CertificateRefused, InputError
+from veronese import construct
+from veronese.errors import CertificateRefused, InputError, InternalInconsistency
 from veronese.forms import (
     Form,
     LinearForm,
+    catalecticant_matrix,
     power_expand,
     power_sum,
     product_expand,
@@ -48,6 +51,7 @@ from veronese.strata import StratumLabel
 
 from oracles import (
     naive_membership,
+    naive_rank,
     proper_subscheme_spans,
     substitute,
     sylvester_rank_oracle,
@@ -249,9 +253,97 @@ def test_flattening_rank_of_three_powers():
         + power_expand(LinearForm.make([1, -1, 1]), 6)
         + power_expand(LinearForm.make([2, 1, -1]), 6)
     )
-    fr, per_a = flattening_rank(P)
+    fr, per_a = flattening_rank(P, 3)
     assert fr == 3
     assert [a for a, _ in per_a] == [1, 2, 3]
+    # a cap below the rank contradicts the membership it stands for; a probe
+    # that reached min(rows, cols, 2) must not be read as the rank
+    with pytest.raises(InternalInconsistency, match="flattening rank 3 exceeds"):
+        flattening_rank(P, 2)
+
+
+def test_flattening_rank_below_its_cap_is_exact():
+    # the x1^d coefficient is the probe's prime, so every catalecticant of
+    # rank 2 probes to 1 < min(rows, cols, 2) and Bareiss settles it
+    P = power_expand(LinearForm.make([1, 0, 0]), 6) + power_expand(
+        LinearForm.make([0, 1, 0]), 6
+    ).scale(F(construct.PROBE_PRIME))
+    assert flattening_rank(P, 2) == (2, ((1, 2), (2, 2), (3, 2)))
+
+
+@st.composite
+def span_points(draw):
+    """A point of the span of a random curvilinear scheme of reduced points
+    and line jets, and the scheme's degree; in about half the draws every
+    support lies on one line and every jet runs along it.  The degree may
+    exceed d + 1, and the span rows need not be independent."""
+    m = draw(st.sampled_from((2, 3)))
+    d = draw(st.integers(3, 9))
+    lengths = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        Q0, V = random_jet_on_line(rng, m, 9, 2).curve
+        zero = tuple(F(0) for _ in Q0)
+        comps = []
+        for z, k in zip(_distinct_nonzero_ints(rng, len(lengths), 9), lengths):
+            p = _point_on_line(Q0, V, z)
+            comps.append(Reduced(p) if k == 1 else Jet((p, V) + (zero,) * (k - 2)))
+    else:
+        comps = [
+            random_reduced(rng, m, 9) if k == 1 else random_jet_on_line(rng, m, 9, k)
+            for k in lengths
+        ]
+    Z = assemble_scheme(m, comps)
+    assume(Z is not None)
+    nonzero = st.sampled_from([c for c in range(-5, 6) if c != 0])
+    return span_combo(Z, d, [F(draw(nonzero)) for _ in range(sum(lengths))]), sum(lengths)
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@given(span_points())
+def test_capped_flattening_rank_matches_naive_ranks(case):
+    P, t = case
+    fr, per_a = flattening_rank(P, t)
+    expected = tuple(
+        (a, naive_rank(catalecticant_matrix(P, a))) for a in range(1, P.d // 2 + 1)
+    )
+    assert per_a == expected
+    assert fr == max(r for _, r in expected)
+
+
+def _bareiss_flattening_orders(monkeypatch, m, d, parts, seed):
+    """Contraction orders a whose catalecticant went to ``rank_exact``
+    while constructing a point of the label."""
+    made = {}  # id -> (a, matrix); holding the matrix keeps its id unique
+    calls = []
+
+    def catalecticant(P, a):
+        M = catalecticant_matrix(P, a)
+        made[id(M)] = (a, M)
+        return M
+
+    def rank(M):
+        if id(M) in made:
+            calls.append(made[id(M)][0])
+        return rank_exact(M)
+
+    monkeypatch.setattr(construct, "catalecticant_matrix", catalecticant)
+    monkeypatch.setattr(construct, "rank_exact", rank)
+    construct_stratum_point(m, d, StratumLabel.make(parts), seed=seed)
+    return calls
+
+
+def test_flattening_proof_path(monkeypatch):
+    # uniqueness regime: every catalecticant reaches its cap min(rows, cols, 4)
+    assert _bareiss_flattening_orders(monkeypatch, 2, 9, [2, 1, 1], 0) == []
+    # a length-5 jet on a line plus a point: h_Z(a) = 4, 5 < 6 at a = 2, 3
+    assert _bareiss_flattening_orders(monkeypatch, 2, 9, [5, 1], 0) == [2, 3]
 
 
 def test_certify_three_general_points():
@@ -413,7 +505,7 @@ def test_certify_uses_line_criterion_outside_regime():
 def test_construct_stratum_point_examples():
     Z, P, cert = construct_stratum_point(2, 9, StratumLabel.make([2, 1, 1]), seed=0)
     assert cert.all_passed and cert.value == 4
-    fr, _ = flattening_rank(P)
+    fr, _ = flattening_rank(P, 4)
     assert fr == 4
 
     Z, P, cert = construct_stratum_point(

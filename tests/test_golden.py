@@ -20,9 +20,8 @@ coordinates plus two double points, and ``terracini --kind osculating2``,
 and three certified power-sum constructions in P^3 recorded before their
 power sums were computed in integers and their full-rank tests took the
 modular proof, and five flattening and line-construction cases plus a P^3
-``certify`` pair recorded before the flattening ranks took the capped probe
-and the line constructions were solved in binary coordinates.  The inputs
-live in ``tests/golden/``.
+``certify`` pair recorded before the flattening ranks took the capped probe.
+The inputs live in ``tests/golden/``.
 
 Record the digests again, only for a change that means to alter output:
 
@@ -107,8 +106,8 @@ POWER_SUM_COMMANDS = [
 # Flattening ranks below the probe's cap (label 5,1 at a = 2, 3; Cat_1 of
 # rank 3 < 4 for 3,1 in P^3), a membership-only label, the line-jet and
 # tangent constructions at d = 13 and 12, and ``certify`` of a P^3 point;
-# recorded before the flattening ranks took the capped probe and the line
-# constructions were solved in the line's own coordinates.
+# recorded before the flattening ranks took the capped probe, and kept for
+# solving the line constructions in the line's own coordinates.
 FLATTENING_LINE_COMMANDS = [
     "construct 2 9 --label 5,1 --seed 0",
     "construct 3 9 --label 3,1 --seed 0",
