@@ -20,8 +20,10 @@ coordinates plus two double points, and ``terracini --kind osculating2``,
 and three certified power-sum constructions in P^3 recorded before their
 power sums were computed in integers and their full-rank tests took the
 modular proof, and five flattening and line-construction cases plus a P^3
-``certify`` pair recorded before the flattening ranks took the capped probe.
-The inputs live in ``tests/golden/``.
+``certify`` pair recorded before the flattening ranks took the capped probe,
+and five seeded constructions that reject draws (one of them every draw,
+so it exits 3) recorded before the sampling loops shared one resample
+routine.  The inputs live in ``tests/golden/``.
 
 Record the digests again, only for a change that means to alter output:
 
@@ -117,6 +119,21 @@ FLATTENING_LINE_COMMANDS = [
     "certify --point certify_p3_point.json --scheme certify_p3_scheme.json",
 ]
 
+# Seeded constructions that reject at least one draw before they succeed
+# (colliding supports in a stratum point and in gamma's Terracini draws, a
+# line-jet draw with a zero line coefficient, a singular conic frame), and
+# one that never succeeds: at --bound 3 the only 6-point z-set is
+# {-3, ..., 3} without 0, which is symmetric, so every draw is rejected and
+# the command exits 3.  Recorded before the sampling loops shared one
+# resample routine.
+RESAMPLE_COMMANDS = [
+    "construct 2 9 --label 3,1 --non-collinear --bound 1 --seed 0",
+    "construct 2 6 --line-jet 2,1 --bound 5 --seed 1",
+    "construct 2 5 --conic-a 6 --conic-b 6 --bound 1 --seed 0",
+    "gamma 2 8 4 --bound 1 --seed 0",
+    "construct 2 6 --line-jet 2,1 --bound 3 --seed 0",
+]
+
 CORPUS = (
     [f"{c} --seed {s}" for c in README_COMMANDS for s in (0, 1)]
     + FILE_COMMANDS
@@ -125,6 +142,7 @@ CORPUS = (
     + DERIVATIVE_COMMANDS
     + POWER_SUM_COMMANDS
     + FLATTENING_LINE_COMMANDS
+    + RESAMPLE_COMMANDS
 )
 
 
