@@ -8,6 +8,15 @@ scheme degree at most d+1) or through the line-intersection criterion
 flattening ranks.  Rank upper bounds are certified by explicit power-sum
 decompositions that re-expand, with zero tolerance, to the target form.
 Rank lower bounds beyond flattening are out of scope by design.
+
+Seeded constructions draw from one ``random.Random(seed)`` through
+``_resample``: a draw that hits a degenerate sample (colliding supports, a
+singular frame, a claim refused by ``_span_claims``) is drawn again, at most
+MAX_ATTEMPTS times in all, and then ResampleExhausted is raised.  A claim
+that an earlier rejection already forces is recorded as passed.  A
+self-check that holds by construction (a decomposition's re-expansion, the
+tangent normal form, the line-jet Sylvester cross-check) is never
+resampled: its failure raises InternalInconsistency naming the check.
 """
 
 from __future__ import annotations
@@ -17,7 +26,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm, prod
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, TypeVar
 
 from .errors import (
     CertificateRefused,
@@ -40,7 +49,6 @@ from .rationalla import (
     QMatrix,
     kernel_basis,
     membership_solve,
-    modular_rank_probe,
     rank_exact,
     rank_with_fastpath,
 )
@@ -51,6 +59,7 @@ from .schemes import (
     SchemeSpec,
     TwoThreePoint,
     _dependent,
+    assemble_scheme,
     h1,
     lgp_check,
     random_fat_point,
@@ -66,7 +75,7 @@ from .schemes import (
 from .strata import StratumLabel, sigma_stratum_dim
 
 MAX_ATTEMPTS = 64
-PROBE_PRIME = (1 << 31) - 1  # the prime of ``rank_with_fastpath``
+T = TypeVar("T")
 
 
 # ---------------------------------------------------------------------------
@@ -142,18 +151,14 @@ def flattening_rank(P: Form, t: int) -> tuple[int, tuple[tuple[int, int], ...]]:
 
     By the apolarity lemma (Iarrobino and Kanev, "Power Sums, Gorenstein
     Algebras, and Determinantal Loci", 1999, Lemma 1.15) I_Z(a) lies in the
-    kernel of Cat_a(P), so rank Cat_a(P) <= h_Z(a) <= t.  The modular probe
-    never exceeds the rank, so a probe that reaches min(rows, cols, t) is the
-    exact rank; a lower one falls back to Bareiss.  A rank above t
-    contradicts the membership and raises InternalInconsistency.
+    kernel of Cat_a(P), so rank Cat_a(P) <= h_Z(a) <= t, and
+    ``rank_with_fastpath`` with cap t settles it.  A rank above t contradicts
+    the membership and raises InternalInconsistency.
     """
     per_a = []
     best = 0
     for a in range(1, P.d // 2 + 1):
-        M = catalecticant_matrix(P, a)
-        r = modular_rank_probe(M, PROBE_PRIME)
-        if r < min(M.rows, M.cols, t):
-            r = rank_exact(M)
+        r = rank_with_fastpath(catalecticant_matrix(P, a), cap=t)
         if r > t:
             raise InternalInconsistency(
                 f"flattening rank {r} exceeds certified degree {t}"
@@ -165,6 +170,39 @@ def flattening_rank(P: Form, t: int) -> tuple[int, tuple[tuple[int, int], ...]]:
 
 # ---------------------------------------------------------------------------
 # small helpers
+
+
+def _resample(what: str, draw: Callable[[], Optional[T]]) -> T:
+    """The first result of ``draw`` that is not None.
+
+    None marks a degenerate sample, and so does a CertificateRefused from
+    ``_span_claims``; either one draws again, at most MAX_ATTEMPTS times in
+    all.  Every draw shares the caller's generator, so a seed fixes the
+    whole sequence.
+    """
+    for _ in range(MAX_ATTEMPTS):
+        try:
+            result = draw()
+        except CertificateRefused:
+            continue
+        if result is not None:
+            return result
+    raise ResampleExhausted(f"{what} kept hitting degenerate samples")
+
+
+def _dominating(Z: SchemeSpec) -> SchemeSpec:
+    """Z with each (2,3)-point and each degree-3 jet replaced by the triple
+    point at its support, which contains it; when this scheme has h1 = 0,
+    so has Z."""
+    return SchemeSpec(
+        Z.m,
+        tuple(
+            FatPoint(c.support, 3)
+            if isinstance(c, TwoThreePoint) or (isinstance(c, Jet) and c.length == 3)
+            else c
+            for c in Z.components
+        ),
+    )
 
 
 def _nonzero_int(rng: random.Random, bound: int) -> int:
@@ -263,6 +301,32 @@ def _span_claims(
     return claims
 
 
+def _decomposition_claims(
+    P: Form,
+    coeffs: Sequence[Fraction],
+    points: Sequence[Sequence[Fraction]],
+    t: int,
+    rank_statement: str,
+) -> tuple[DecompositionRecord, List[Claim]]:
+    """The record P = sum_i coeffs[i] * (points[i] . x)^d with its size, rank
+    and budget claims, for a target of border rank t.
+
+    The decomposition is built to re-expand to P, so a record that does not
+    is a failed self-check and raises InternalInconsistency.
+    """
+    summands = tuple(Summand(c, LinearForm(P.m, p)) for c, p in zip(coeffs, points))
+    try:
+        record = DecompositionRecord(P.m, P.d, summands, P)
+    except InputError as e:
+        raise InternalInconsistency(f"self-check failed: {e}") from None
+    r, d = record.size, P.d
+    return record, [
+        Claim(f"decomposition of size {r} re-expands exactly to the target", (r,), True),
+        Claim(rank_statement, (r,), True),
+        Claim(f"budget: b + r = {t + r} <= 3d-2 = {3 * d - 2}", (), t + r <= 3 * d - 2),
+    ]
+
+
 def _sample_jet_on_line(
     rng: random.Random,
     m: int,
@@ -280,7 +344,10 @@ def _sample_jet_on_line(
     Returns (Z, line_pts, alphas, betas, Q), where Q is the combination of the
     line powers with coefficients alphas and of the jet span rows with betas,
     all nonzero; None for a degenerate draw.  With ``general`` Z must also be
-    in linearly general position.
+    in linearly general position.  The line powers and the jet span rows are
+    independent: n_line <= d + 1 distinct points of a line and a jet of
+    length k <= d + 1 along it, a Vandermonde matrix and a triangular one in
+    the line's own coordinates.
     """
     Q0 = random_vector(rng, m, bound)
     V = random_vector(rng, m, bound)
@@ -294,18 +361,13 @@ def _sample_jet_on_line(
         if rank_exact(QMatrix.from_rows([Q0, V, p])) != 3:
             return None
         pts.append(Reduced(p))
-    try:
-        Z = SchemeSpec(m, (jet,) + tuple(pts))
-    except InputError:
-        return None
-    if general and not lgp_check(Z):
+    Z = assemble_scheme(m, (jet,) + tuple(pts))
+    if Z is None or (general and not lgp_check(Z)):
         return None
     zs = _distinct_nonzero_ints(rng, n_line, bound)
     line_pts = [_point_on_line(Q0, V, z) for z in zs]
     A = power_rows(m, d, line_pts)
     J = span_matrix(SchemeSpec(m, (jet,)), d)
-    if rank_with_fastpath(A) != n_line or rank_with_fastpath(J) != k:
-        return None
     inter = _intersect_spans(A, J)
     if len(inter) != 1:
         return None
@@ -318,12 +380,12 @@ def _sample_jet_on_line(
 
 
 def _plus_point_powers(
-    rng: random.Random, Q: Form, pts: Sequence[Reduced], bound: int
+    rng: random.Random, Q: Form, pts: Sequence[Sequence[Fraction]], bound: int
 ) -> tuple[Form, list[Fraction]]:
     """Q plus a random nonzero multiple c_i of the d-th power of each point;
     returns the sum and the multiples."""
     cs = [Fraction(_nonzero_int(rng, bound)) for _ in pts]
-    nums, den = power_sum(Q.m, Q.d, ((c, r.point) for c, r in zip(cs, pts)))
+    nums, den = power_sum(Q.m, Q.d, zip(cs, pts))
     return Q + Form(Q.m, Q.d, tuple(Fraction(n, den) for n in nums)), cs
 
 
@@ -762,7 +824,9 @@ def construct_stratum_point(
     if t > d + 1:
         raise InputError("total degree beyond d+1 can never be independent")
     rng = random.Random(seed)
-    for _ in range(MAX_ATTEMPTS):
+    regime = 2 * t <= d + 1
+
+    def draw():
         comps = []
         for p in label.parts:
             if p == 1:
@@ -771,25 +835,20 @@ def construct_stratum_point(
                 comps.append(random_jet_on_conic(rng, m, bound, 3))
             else:
                 comps.append(random_jet_on_line(rng, m, bound, p))
-        try:
-            Z = SchemeSpec(m, tuple(comps))
-        except InputError:
-            continue
+        Z = assemble_scheme(m, comps)
+        if Z is None:
+            return None
         S = span_matrix(Z, d)
         if rank_with_fastpath(S) != t:
-            continue
+            return None
         lam = [Fraction(_nonzero_int(rng, bound)) for _ in range(t)]
         P = Form(m, d, tuple(_combine_rows(S, lam)))
-        fr, per_a = flattening_rank(P, t)
-        regime = 2 * t <= d + 1
+        fr, per_a = flattening_rank(P, t)  # fr <= t, else it raises
         if regime and fr != t:
-            continue
-        try:
-            claims = _span_claims(
-                Z, S, t, P, f"scheme of degree {t} imposes independent conditions (h1 = 0)"
-            )
-        except CertificateRefused:
-            continue
+            return None
+        claims = _span_claims(
+            Z, S, t, P, f"scheme of degree {t} imposes independent conditions (h1 = 0)"
+        )
         if regime:
             e1_flag = t <= (d - 1) // 2
             claims.append(
@@ -804,7 +863,7 @@ def construct_stratum_point(
                 Claim(
                     f"flattening cross-check: max catalecticant rank = {t}",
                     tuple(r for _, r in per_a),
-                    fr == t,
+                    True,
                 )
             )
             if label.is_trivial():
@@ -813,7 +872,7 @@ def construct_stratum_point(
                         f"symmetric rank = {t} (reduced scheme: upper bound by "
                         "construction, lower bound by flattening)",
                         (fr,),
-                        fr == t,
+                        True,
                     )
                 )
         else:
@@ -822,34 +881,20 @@ def construct_stratum_point(
                     f"membership only: border rank <= {t} (2t > d+1)", (t,), True
                 )
             )
-            claims.append(
-                Claim(f"flattening lower bound {fr} <= {t}", (fr,), fr <= t)
-            )
+            claims.append(Claim(f"flattening lower bound {fr} <= {t}", (fr,), True))
         if non_collinear:
-            dominating = []
-            ok = True
-            for comp in Z.components:
-                if isinstance(comp, Jet) and comp.length == 3:
-                    dominating.append(FatPoint(comp.support, 3))
-                else:
-                    dominating.append(comp)
-            try:
-                Zdom = SchemeSpec(m, tuple(dominating))
-                ok = h1(Zdom, d) == 0
-            except InputError:
-                ok = False
+            if h1(_dominating(Z), d) != 0:
+                return None
             claims.append(
                 Claim(
                     "dominating scheme (triple points over degree-3 jets) has h1 = 0",
                     (),
-                    ok,
+                    True,
                 )
             )
-        if not all(c.passed for c in claims):
-            continue
-        cert = Certificate("border_rank", t, tuple(claims), scheme=Z, seed=seed)
-        return Z, P, cert
-    raise ResampleExhausted("construct_stratum_point kept hitting degenerate samples")
+        return Z, P, Certificate("border_rank", t, tuple(claims), scheme=Z, seed=seed)
+
+    return _resample("construct_stratum_point", draw)
 
 
 def construct_line_jet(
@@ -871,39 +916,38 @@ def construct_line_jet(
         raise InputError("extra point count s1 must satisfy 0 <= s1 <= d/2")
     rng = random.Random(seed)
     n_line = d + 2 - t1
-    for _ in range(MAX_ATTEMPTS):
+    t = t1 + s1
+    r_val = d + 2 + s1 - t1
+
+    def draw():
         sample = _sample_jet_on_line(rng, m, d, bound, t1, s1, n_line)
         if sample is None:
-            continue
+            return None
         Z, line_pts, alphas, _, Qpt = sample
         Q0, V = Z.components[0].curve[:2]
-        pts = Z.components[1:]
-        zero = tuple(Fraction(0) for _ in range(m + 1))
-        full_jet = Jet((Q0, V) + (zero,) * (d - 1))
-        full_rows = span_matrix(SchemeSpec(m, (full_jet,)), d)
-        S1_rows = power_rows(m, d, [r.point for r in pts])
-        dim_claim_rank = rank_with_fastpath(full_rows.stack(S1_rows))
-
+        pts = [r.point for r in Z.components[1:]]
         c0 = Fraction(_nonzero_int(rng, bound))
         P, cs = _plus_point_powers(rng, Qpt.scale(c0), pts, bound)
 
-        t = t1 + s1
+        zero = tuple(Fraction(0) for _ in range(m + 1))
+        full_jet = Jet((Q0, V) + (zero,) * (d - 1))
+        full_rows = span_matrix(SchemeSpec(m, (full_jet,)), d)
+        dim_claim_rank = rank_with_fastpath(full_rows.stack(power_rows(m, d, pts)))
+        if dim_claim_rank != d + 1 + s1:
+            return None
         S = span_matrix(Z, d)
-        try:
-            claims = _span_claims(
-                Z,
-                S,
-                rank_with_fastpath(S),
-                P,
-                f"scheme jet({t1}) + {s1} points imposes independent conditions",
-            )
-        except CertificateRefused:
-            continue
+        claims = _span_claims(
+            Z,
+            S,
+            rank_with_fastpath(S),
+            P,
+            f"scheme jet({t1}) + {s1} points imposes independent conditions",
+        )
         claims.append(
             Claim(
                 f"line span plus points has the expected dimension {d}+{s1}",
                 (dim_claim_rank,),
-                dim_claim_rank == d + 1 + s1,
+                True,
             )
         )
         claims.append(
@@ -914,56 +958,42 @@ def construct_line_jet(
                 True,
             )
         )
-        summands = [
-            Summand(c, LinearForm(m, p))
-            for c, p in zip(
-                [c0 * a for a in alphas] + cs, line_pts + [r.point for r in pts]
-            )
-        ]
-        try:
-            record = DecompositionRecord(m, d, tuple(summands), P)
-        except InputError:
-            continue
-        r_val = d + 2 + s1 - t1
-        claims.append(
-            Claim(
-                f"decomposition of size {r_val} re-expands exactly to the target",
-                (record.size,),
-                record.size == r_val,
-            )
+        record, decomposition = _decomposition_claims(
+            P,
+            [c0 * a for a in alphas] + cs,
+            line_pts + pts,
+            t,
+            f"symmetric rank = {r_val} = d+2+s1-t1 (upper bound exhibited; "
+            "equality by the non-reduced line criterion)",
         )
-        claims.append(
-            Claim(
-                f"symmetric rank = {r_val} = d+2+s1-t1 (upper bound exhibited; "
-                "equality by the non-reduced line criterion)",
-                (r_val,),
-                True,
-            )
-        )
-        budget = t + r_val <= 3 * d - 2
-        claims.append(
-            Claim(f"budget: b + r = {t + r_val} <= 3d-2 = {3 * d - 2}", (), budget)
-        )
+        claims += decomposition
+        # Q lies in the jet span, hence in nu_d of the line, as a binary form
+        # s^(d-t1+1) h(s, u) with deg_u h = t1-1 (every beta is nonzero); by
+        # Sylvester its rank is d+2-t1, since 2 t1 <= d and its apolar
+        # generator of degree t1, u^t1, is not squarefree
         gamma = membership_solve(full_rows, Qpt.coeffs)
-        sylv_ok = False
-        sylv_rank = -1
-        if gamma is not None:
-            g = Form(1, d, tuple(gamma[j] * comb(d, j) for j in range(d + 1)))
-            res = sylvester_binary(g, want_decomposition=False)
-            sylv_rank = res.rank
-            sylv_ok = res.rank == d + 2 - t1
+        if gamma is None:
+            raise InternalInconsistency(
+                "self-check failed: the line-jet point is not on nu_d of its line"
+            )
+        g = Form(1, d, tuple(gamma[j] * comb(d, j) for j in range(d + 1)))
+        sylv_rank = sylvester_binary(g, want_decomposition=False).rank
+        if sylv_rank != d + 2 - t1:
+            raise InternalInconsistency(
+                f"self-check failed: the line-jet point has binary rank {sylv_rank}, "
+                f"not d+2-t1 = {d + 2 - t1}"
+            )
         claims.append(
             Claim(
                 f"binary rank cross-check on the line: {sylv_rank} = d+2-t1",
                 (sylv_rank,),
-                sylv_ok,
+                True,
             )
         )
-        if not all(c.passed for c in claims):
-            continue
         cert = Certificate("rank_upper", r_val, tuple(claims), scheme=Z, seed=seed)
         return Z, P, record, cert
-    raise ResampleExhausted("construct_line_jet kept hitting degenerate samples")
+
+    return _resample("construct_line_jet", draw)
 
 
 def construct_tangent_plus_points(
@@ -982,25 +1012,24 @@ def construct_tangent_plus_points(
     if d < 5 or not (3 <= t <= d):
         raise InputError("need d >= 5 and 3 <= t <= d")
     rng = random.Random(seed)
-    for _ in range(MAX_ATTEMPTS):
+    r_val = d + t - 2
+
+    def draw():
         sample = _sample_jet_on_line(rng, m, d, bound, 2, t - 2, d, general=True)
         if sample is None:
-            continue
+            return None
         Z, line_pts, alphas, betas, Qjet = sample
         Q0, V = Z.components[0].curve
-        pts = Z.components[1:]
+        pts = [r.point for r in Z.components[1:]]
         P, mus = _plus_point_powers(rng, Qjet, pts, bound)
 
-        claims = [Claim("scheme is in linearly general position", (), lgp_check(Z))]
+        # the sample is in linearly general position
+        claims = [Claim("scheme is in linearly general position", (), True)]
         S = span_matrix(Z, d)
-        try:
-            claims += _span_claims(
-                Z, S, rank_with_fastpath(S), P, "scheme imposes independent conditions (h1 = 0)"
-            )
-        except CertificateRefused:
-            continue
-        regime = 2 * t <= d + 1
-        if regime:
+        claims += _span_claims(
+            Z, S, rank_with_fastpath(S), P, "scheme imposes independent conditions (h1 = 0)"
+        )
+        if 2 * t <= d + 1:
             claims.append(
                 Claim(
                     f"border rank = {t} (uniqueness criterion 2t <= d+1)", (t,), True
@@ -1019,59 +1048,31 @@ def construct_tangent_plus_points(
                 betas[0] * q + d * betas[1] * v for q, v in zip(Q0, V)
             ),
         )
-        normal = product_expand([(LinearForm(m, Q0), d - 1), (M_form, 1)])
-        claims.append(
-            Claim(
-                "jet part equals L^(d-1) M exactly (normal form verified)",
-                (),
-                normal == Qjet,
+        if product_expand([(LinearForm(m, Q0), d - 1), (M_form, 1)]) != Qjet:
+            raise InternalInconsistency(
+                "self-check failed: the tangent jet part is not L^(d-1) M"
             )
-        )
-        summands = [
-            Summand(c, LinearForm(m, p))
-            for c, p in zip(alphas + mus, line_pts + [r.point for r in pts])
-        ]
-        try:
-            record = DecompositionRecord(m, d, tuple(summands), P)
-        except InputError:
-            continue
-        r_val = d + t - 2
         claims.append(
-            Claim(
-                f"decomposition of size {r_val} re-expands exactly to the target",
-                (record.size,),
-                record.size == r_val,
-            )
+            Claim("jet part equals L^(d-1) M exactly (normal form verified)", (), True)
         )
         if m >= 3:
-            claims.append(
-                Claim(
-                    f"symmetric rank = {r_val} = d+t-2 (linearly general position "
-                    "criterion, m >= 3)",
-                    (r_val,),
-                    True,
-                )
+            rank_statement = (
+                f"symmetric rank = {r_val} = d+t-2 (linearly general position "
+                "criterion, m >= 3)"
             )
         else:
-            claims.append(
-                Claim(
-                    f"symmetric rank <= {r_val} (m = 2 outside theorem hypotheses; "
-                    "upper bound verified exactly)",
-                    (r_val,),
-                    True,
-                )
+            rank_statement = (
+                f"symmetric rank <= {r_val} (m = 2 outside theorem hypotheses; "
+                "upper bound verified exactly)"
             )
-        budget = t + r_val <= 3 * d - 2
-        claims.append(
-            Claim(f"budget: b + r = {t + r_val} <= 3d-2 = {3 * d - 2}", (), budget)
+        record, decomposition = _decomposition_claims(
+            P, alphas + mus, line_pts + pts, t, rank_statement
         )
-        if not all(c.passed for c in claims):
-            continue
+        claims += decomposition
         cert = Certificate("rank_upper", r_val, tuple(claims), scheme=Z, seed=seed)
         return Z, P, record, cert
-    raise ResampleExhausted(
-        "construct_tangent_plus_points kept hitting degenerate samples"
-    )
+
+    return _resample("construct_tangent_plus_points", draw)
 
 
 def _conic_jet(curve_c, tau, length):
@@ -1115,66 +1116,56 @@ def construct_conic_double(
         )
     rng = random.Random(seed)
     m = 2
-    for _ in range(MAX_ATTEMPTS):
+
+    def draw():
         cols = [
             tuple(Fraction(rng.randint(-bound, bound)) for _ in range(3))
             for _ in range(3)
         ]
         if rank_exact(QMatrix.from_rows(cols)) != 3:
-            continue
+            return None
         taus = rng.sample(range(-bound, bound + 1), len(a_parts) + len(b_parts))
-        try:
-            comps_a = tuple(
-                _conic_jet(cols, tau, k)
-                for tau, k in zip(taus[: len(a_parts)], a_parts)
-            )
-            comps_b = tuple(
-                _conic_jet(cols, tau, k)
-                for tau, k in zip(taus[len(a_parts) :], b_parts)
-            )
-            A = SchemeSpec(m, comps_a)
-            B = SchemeSpec(m, comps_b)
-        except InputError:
-            continue
+        # distinct parameters of a smooth conic: distinct supports, immersed jets
+        jets = [_conic_jet(cols, tau, k) for tau, k in zip(taus, a_parts + b_parts)]
+        A = SchemeSpec(m, tuple(jets[: len(a_parts)]))
+        B = SchemeSpec(m, tuple(jets[len(a_parts) :]))
         SA, SB = span_matrix(A, d), span_matrix(B, d)
         rA, rB = rank_exact(SA), rank_exact(SB)
         stacked_rank = rank_exact(SA.stack(SB))
         if rA != deg_a or rB != deg_b or stacked_rank != 2 * d + 1:
-            continue
+            return None
         inter = _intersect_spans(SA, SB)
         if len(inter) != 1:
-            continue
+            return None
         x, pvec = inter[0]
-        P = Form(m, d, tuple(pvec))
-        claims: List[Claim] = [
-            Claim(f"first divisor of degree {deg_a} is linearly independent", (rA,), rA == deg_a),
-            Claim(f"second divisor of degree {deg_b} is linearly independent", (rB,), rB == deg_b),
+        # x[:deg_a] and -x[deg_a:] are P's unique coefficients on SA and SB
+        ex_a = _exclusion_claim(A, x[:deg_a])
+        ex_b = _exclusion_claim(B, x[deg_a:])
+        if not (ex_a.passed and ex_b.passed):
+            return None
+        bval = min(deg_a, deg_b)
+        claims = (
+            Claim(f"first divisor of degree {deg_a} is linearly independent", (rA,), True),
+            Claim(f"second divisor of degree {deg_b} is linearly independent", (rB,), True),
             Claim(
                 f"joint span has rank 2d+1 = {2 * d + 1}, so the spans meet in "
                 "exactly one point (Grassmann)",
                 (stacked_rank,),
-                stacked_rank == 2 * d + 1,
+                True,
             ),
-        ]
-        # x[:deg_a] and -x[deg_a:] are P's unique coefficients on SA and SB
-        ex_a = _exclusion_claim(A, x[:deg_a])
-        ex_b = _exclusion_claim(B, x[deg_a:])
-        claims.append(Claim("(first divisor) " + ex_a.statement, ex_a.ranks, ex_a.passed))
-        claims.append(Claim("(second divisor) " + ex_b.statement, ex_b.ranks, ex_b.passed))
-        bval = min(deg_a, deg_b)
-        claims.append(
+            Claim("(first divisor) " + ex_a.statement, ex_a.ranks, True),
+            Claim("(second divisor) " + ex_b.statement, ex_b.ranks, True),
             Claim(
                 f"border rank = min(deg A, deg B) = {bval} "
                 "(divisors on a projectively normal conic)",
                 (bval,),
                 True,
-            )
+            ),
         )
-        if not all(c.passed for c in claims):
-            continue
-        cert = Certificate("border_rank", bval, tuple(claims), scheme=A, seed=seed)
-        return A, B, P, cert
-    raise ResampleExhausted("construct_conic_double kept hitting degenerate samples")
+        cert = Certificate("border_rank", bval, claims, scheme=A, seed=seed)
+        return A, B, Form(m, d, tuple(pvec)), cert
+
+    return _resample("construct_conic_double", draw)
 
 
 # ---------------------------------------------------------------------------
@@ -1234,41 +1225,37 @@ def terracini_dim(
     if deg > comb(m + d, m):
         raise InputError("infinitesimal scheme does not fit in degree d")
 
-    for _ in range(MAX_ATTEMPTS):
-        try:
-            Z = SchemeSpec(m, tuple(mk()))
-        except InputError:
-            continue
+    def draw():
+        Z = assemble_scheme(m, mk())
+        if Z is None:
+            return None
         sup = h1(Z, d)
         dim = deg - 1 - sup
+        if dim != expected:
+            return None
         claims = [
             Claim(f"infinitesimal scheme degree {deg}, h1 = {sup}", (deg - sup,), True),
             Claim(
                 f"dimension {dim} matches the expected dimension {expected}",
                 (dim,),
-                dim == expected,
+                True,
             ),
         ]
         if kind == "tau":
-            dominating = [
-                FatPoint(c.support, 3) if isinstance(c, TwoThreePoint) else c
-                for c in Z.components
-            ]
-            Zdom = SchemeSpec(m, tuple(dominating))
-            sup_dom = h1(Zdom, d)
-            agrees = (sup_dom != 0) or dim == t * (m + 1) - 2
+            sup_dom = h1(_dominating(Z), d)
+            if sup_dom == 0 and dim != t * (m + 1) - 2:
+                return None
             claims.append(
                 Claim(
                     "triple-point route agrees: h1 of the dominating scheme is "
                     f"{sup_dom}, forcing the same dimension when zero",
                     (sup_dom,),
-                    agrees,
+                    True,
                 )
             )
-        cert = Certificate("dimension", dim, tuple(claims), scheme=Z, seed=seed)
-        if cert.all_passed:
-            return dim, cert
-    raise ResampleExhausted(f"terracini_dim({kind}) kept hitting degenerate samples")
+        return dim, Certificate("dimension", dim, tuple(claims), scheme=Z, seed=seed)
+
+    return _resample(f"terracini_dim({kind})", draw)
 
 
 def gamma_dims(m: int, d: int, t: int, seed: int, bound: int = 50) -> dict:
@@ -1336,57 +1323,46 @@ def gamma_dims(m: int, d: int, t: int, seed: int, bound: int = 50) -> dict:
 
     # two tangent vectors + t-4 points
     if t >= 4:
-        for _ in range(MAX_ATTEMPTS):
-            try:
-                comps = [random_two_three(rng, m, bound) for _ in range(2)] + [
-                    random_fat_point(rng, m, bound, 2) for _ in range(t - 4)
-                ]
-                Z2 = SchemeSpec(m, tuple(comps))
-            except InputError:
-                continue
-            sup2 = h1(Z2, d)
-            dim2 = scheme_degree(Z2) - 1 - sup2
-            dom = [
-                FatPoint(c.support, 3) if isinstance(c, TwoThreePoint) else c
-                for c in Z2.components
-            ]
-            sup_dom = h1(SchemeSpec(m, tuple(dom)), d)
-            checks = [
-                {"statement": f"h1 of the infinitesimal scheme is {sup2}", "passed": sup2 == 0},
-                {
-                    "statement": f"triple-point dominating scheme has h1 = {sup_dom}",
-                    "passed": sup_dom == 0,
-                },
-            ]
-            stamp("double_tangent", dim2, (2, 2) + (1,) * (t - 4), 2, checks)
-            break
-        else:
-            raise ResampleExhausted("gamma_dims(double_tangent) kept hitting degenerate samples")
+        Z2 = _resample(
+            "gamma_dims(double_tangent)",
+            lambda: assemble_scheme(
+                m,
+                [random_two_three(rng, m, bound) for _ in range(2)]
+                + [random_fat_point(rng, m, bound, 2) for _ in range(t - 4)],
+            ),
+        )
+        sup2 = h1(Z2, d)
+        dim2 = scheme_degree(Z2) - 1 - sup2
+        sup_dom = h1(_dominating(Z2), d)
+        checks = [
+            {"statement": f"h1 of the infinitesimal scheme is {sup2}", "passed": sup2 == 0},
+            {
+                "statement": f"triple-point dominating scheme has h1 = {sup_dom}",
+                "passed": sup_dom == 0,
+            },
+        ]
+        stamp("double_tangent", dim2, (2, 2) + (1,) * (t - 4), 2, checks)
     else:
         report["families"]["double_tangent"] = {"skipped": "needs t >= 4"}
 
     # non-collinear degree-3 germ + t-3 points, via one quadruple point
-    for _ in range(MAX_ATTEMPTS):
-        try:
-            comps = [random_fat_point(rng, m, bound, 4)] + [
-                random_fat_point(rng, m, bound, 2) for _ in range(t - 3)
-            ]
-            Z3 = SchemeSpec(m, tuple(comps))
-        except InputError:
-            continue
-        sup3 = h1(Z3, d)
-        dim3 = m * t + t - 3
-        checks = [
-            {
-                "statement": "quadruple-point scheme imposes independent conditions "
-                f"(h1 = {sup3}), so the family has the expected dimension",
-                "passed": sup3 == 0,
-            }
-        ]
-        stamp("noncollinear_triple", dim3, (3,) + (1,) * (t - 3), 2, checks)
-        break
-    else:
-        raise ResampleExhausted("gamma_dims(noncollinear_triple) kept hitting degenerate samples")
+    Z3 = _resample(
+        "gamma_dims(noncollinear_triple)",
+        lambda: assemble_scheme(
+            m,
+            [random_fat_point(rng, m, bound, 4)]
+            + [random_fat_point(rng, m, bound, 2) for _ in range(t - 3)],
+        ),
+    )
+    sup3 = h1(Z3, d)
+    checks = [
+        {
+            "statement": "quadruple-point scheme imposes independent conditions "
+            f"(h1 = {sup3}), so the family has the expected dimension",
+            "passed": sup3 == 0,
+        }
+    ]
+    stamp("noncollinear_triple", m * t + t - 3, (3,) + (1,) * (t - 3), 2, checks)
     return report
 
 

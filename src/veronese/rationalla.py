@@ -43,6 +43,7 @@ from typing import Iterable, Optional, Sequence
 from .errors import InputError
 
 MIN_PROBE_PRIME = 1 << 30
+PROBE_PRIME = (1 << 31) - 1  # the prime of ``rank_with_fastpath``
 
 
 def _q(x) -> Fraction:
@@ -315,15 +316,20 @@ def modular_rank_probe(M: QMatrix, prime: int) -> int:
     return r
 
 
-def rank_with_fastpath(M: QMatrix, prime: int = (1 << 31) - 1) -> int:
-    """Exact rank with a sound modular shortcut; ``schemes.h1`` settles
-    every interpolation rank this way.
+def rank_with_fastpath(M: QMatrix, cap: Optional[int] = None) -> int:
+    """Exact rank with a sound modular shortcut, the one entry point of the
+    probe: ``schemes.h1``, every full-rank claim and every flattening rank
+    settle their ranks this way.
 
-    The probe reduces the numerator rows mod the prime, and its rank never
-    exceeds the exact rank, so a full-rank probe proves full rank; any other
-    probe result falls back to Bareiss.
+    The probe reduces the numerator rows mod PROBE_PRIME, and its rank never
+    exceeds the exact rank, so a probe that reaches min(rows, cols) proves
+    full rank.  A caller that knows the rank is at most ``cap`` may pass it:
+    a probe that reaches min(rows, cols, cap) is then the exact rank, and a
+    probe above the cap is returned as it is, for the caller to refuse.  Any
+    other probe result falls back to Bareiss.
     """
-    probed = modular_rank_probe(M, prime)
-    if probed == min(M.rows, M.cols):
+    reach = min(M.rows, M.cols) if cap is None else min(M.rows, M.cols, cap)
+    probed = modular_rank_probe(M, PROBE_PRIME)
+    if probed >= reach:
         return probed
     return rank_exact(M)

@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from veronese.construct import (
+    MAX_ATTEMPTS,
     DecompositionRecord,
     Summand,
     _combine_rows,
@@ -26,13 +27,20 @@ from veronese.construct import (
     sylvester_binary,
     terracini_dim,
 )
-from veronese import construct
-from veronese.errors import CertificateRefused, InputError, InternalInconsistency
+from veronese import construct, rationalla
+from veronese.cli import main
+from veronese.errors import (
+    CertificateRefused,
+    InputError,
+    InternalInconsistency,
+    ResampleExhausted,
+)
 from veronese.forms import (
     Form,
     LinearForm,
     catalecticant_matrix,
     power_expand,
+    power_rows,
     power_sum,
     product_expand,
 )
@@ -267,7 +275,7 @@ def test_flattening_rank_below_its_cap_is_exact():
     # rank 2 probes to 1 < min(rows, cols, 2) and Bareiss settles it
     P = power_expand(LinearForm.make([1, 0, 0]), 6) + power_expand(
         LinearForm.make([0, 1, 0]), 6
-    ).scale(F(construct.PROBE_PRIME))
+    ).scale(F(rationalla.PROBE_PRIME))
     assert flattening_rank(P, 2) == (2, ((1, 2), (2, 2), (3, 2)))
 
 
@@ -334,7 +342,7 @@ def _bareiss_flattening_orders(monkeypatch, m, d, parts, seed):
         return rank_exact(M)
 
     monkeypatch.setattr(construct, "catalecticant_matrix", catalecticant)
-    monkeypatch.setattr(construct, "rank_exact", rank)
+    monkeypatch.setattr(rationalla, "rank_exact", rank)
     construct_stratum_point(m, d, StratumLabel.make(parts), seed=seed)
     return calls
 
@@ -642,3 +650,103 @@ def test_certificate_json_shape():
     Z, P, rec, cert = construct_line_jet(2, 6, 2, 0, seed=1)
     dobj = decomposition_to_json(rec)
     assert dobj["size"] == rec.size == len(dobj["summands"])
+
+
+# --- the shared resample loop ----------------------------------------------
+
+
+RESAMPLE_LOOPS = {
+    "construct_stratum_point": lambda: construct_stratum_point(
+        2, 7, StratumLabel.make([2, 1]), seed=0
+    ),
+    "construct_line_jet": lambda: construct_line_jet(2, 6, 2, 1, seed=0),
+    "construct_tangent_plus_points": lambda: construct_tangent_plus_points(3, 5, 3, seed=0),
+    "construct_conic_double": lambda: construct_conic_double(5, [6], [6], seed=0),
+    "terracini_dim(tau)": lambda: terracini_dim(2, 6, "tau", 3, seed=0),
+    "gamma_dims(double_tangent)": lambda: gamma_dims(2, 6, 4, seed=0),
+    "gamma_dims(noncollinear_triple)": lambda: gamma_dims(2, 6, 4, seed=0),
+}
+
+
+@pytest.mark.parametrize("what", sorted(RESAMPLE_LOOPS))
+def test_every_sampling_loop_gives_up_after_max_attempts(what, monkeypatch):
+    """Each loop draws through ``_resample`` under its own name; when every
+    draw is rejected it makes exactly MAX_ATTEMPTS draws, then raises."""
+    real = construct._resample
+    draws = []
+
+    def rejecting(name, draw):
+        if name != what:
+            return real(name, draw)
+
+        def rejected():
+            draws.append(name)
+            draw()
+            return None
+
+        return real(name, rejected)
+
+    monkeypatch.setattr(construct, "_resample", rejecting)
+    with pytest.raises(ResampleExhausted) as e:
+        RESAMPLE_LOOPS[what]()
+    assert str(e.value) == f"{what} kept hitting degenerate samples"
+    assert len(draws) == MAX_ATTEMPTS
+
+
+SELF_CHECKED = {
+    "line-jet": (
+        lambda: construct_line_jet(2, 6, 2, 1, seed=0),
+        ["construct", "2", "6", "--line-jet", "2,1"],
+    ),
+    "tangent": (
+        lambda: construct_tangent_plus_points(3, 5, 3, seed=0),
+        ["construct", "3", "5", "--tangent", "3"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SELF_CHECKED))
+def test_failed_self_check_is_reported_not_resampled(name, monkeypatch, capsys):
+    """A decomposition that does not re-expand can only come from a bug: the
+    first draw raises InternalInconsistency and the CLI exits 3 with it."""
+    construct_it, argv = SELF_CHECKED[name]
+    real = construct._sample_jet_on_line
+    samples = []
+
+    def doubled(*args, **kwargs):
+        sample = real(*args, **kwargs)
+        samples.append(sample)
+        if sample is None:
+            return None
+        Z, line_pts, alphas, betas, Q = sample
+        return Z, line_pts, [2 * a for a in alphas], betas, Q
+
+    monkeypatch.setattr(construct, "_sample_jet_on_line", doubled)
+    message = "self-check failed: decomposition does not re-expand to its target"
+    with pytest.raises(InternalInconsistency) as e:
+        construct_it()
+    assert str(e.value) == message
+    assert len(samples) == 1 and samples[0] is not None
+
+    samples.clear()
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"InternalInconsistency: {message}\n"
+    assert len(samples) == 1
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from((2, 3)), st.integers(3, 9), st.data())
+def test_line_powers_and_line_jet_spans_have_full_rank(m, d, data):
+    """Why the line-jet sampler proves no rank: n <= d+1 distinct points of a
+    line and a jet of length k <= d+1 along it span n and k dimensions."""
+    n = data.draw(st.integers(1, d + 1))
+    k = data.draw(st.integers(2, d + 1))
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    Q0, V = random_jet_on_line(rng, m, 9, 2).curve
+    zs = _distinct_nonzero_ints(rng, n, 9)
+    A = power_rows(m, d, [_point_on_line(Q0, V, z) for z in zs])
+    zero = tuple(F(0) for _ in Q0)
+    J = span_matrix(SchemeSpec(m, (Jet((Q0, V) + (zero,) * (k - 2)),)), d)
+    assert naive_rank(A) == n
+    assert naive_rank(J) == k
