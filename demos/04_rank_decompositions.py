@@ -6,11 +6,8 @@ points (rank d + 2 + s1 - t1), and a tangent vector plus points in linearly
 general position (rank d + t - 2).
 """
 
-from veronese.construct import (
-    construct_line_jet,
-    construct_tangent_plus_points,
-    sylvester_binary,
-)
+from veronese.binary import sylvester_binary
+from veronese.construct import construct_line_jet, construct_tangent_plus_points
 from veronese.forms import LinearForm, power_expand, product_expand
 
 # Binary forms first.  x0^(d-1) x1 has border rank 2 but full rank d.

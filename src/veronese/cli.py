@@ -16,6 +16,7 @@ import json
 import sys
 from typing import Optional
 
+from .binary import sylvester_binary
 from .construct import (
     certificate_to_json,
     certify_border_rank,
@@ -25,7 +26,6 @@ from .construct import (
     construct_tangent_plus_points,
     decomposition_to_json,
     gamma_dims,
-    sylvester_binary,
     terracini_dim,
     terracini_expected,
 )

@@ -25,9 +25,10 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, lcm, prod
+from math import comb, lcm, prod
 from typing import Callable, List, Optional, Sequence, TypeVar
 
+from .binary import line_relations, sylvester_binary
 from .errors import (
     CertificateRefused,
     InputError,
@@ -35,9 +36,10 @@ from .errors import (
     ResampleExhausted,
 )
 from .forms import (
+    DecompositionRecord,
     Form,
     LinearForm,
-    _contraction_rows,
+    Summand,
     catalecticant_matrix,
     form_to_json,
     power_rows,
@@ -79,7 +81,7 @@ T = TypeVar("T")
 
 
 # ---------------------------------------------------------------------------
-# certificates and decomposition records
+# certificates and flattening
 
 
 @dataclass(frozen=True)
@@ -100,49 +102,6 @@ class Certificate:
     @property
     def all_passed(self) -> bool:
         return all(c.passed for c in self.claims)
-
-
-PURE_POWER = "L^d"  # the JSON shape tag of every summand
-
-
-@dataclass(frozen=True)
-class Summand:
-    """The term coeff * linear^d of a power-sum decomposition."""
-
-    coeff: Fraction
-    linear: LinearForm
-
-
-@dataclass(frozen=True)
-class DecompositionRecord:
-    """An exact identity target = sum of summands; verified on construction,
-    n * q == p * den for each sum coefficient n / den and target p / q."""
-
-    m: int
-    d: int
-    summands: tuple[Summand, ...]
-    target: Form
-
-    def __post_init__(self):
-        if not self.summands:
-            raise InputError("decomposition needs at least one summand")
-        ms = {s.linear.m for s in self.summands} | {self.target.m}
-        if ms != {self.m} or self.target.d != self.d:
-            raise InputError("decomposition and target live in different spaces")
-        nums, den = self._sum()
-        if any(n * q.denominator != q.numerator * den for n, q in zip(nums, self.target.coeffs)):
-            raise InputError("decomposition does not re-expand to its target")
-
-    def _sum(self) -> tuple[list[int], int]:
-        return power_sum(self.m, self.d, ((s.coeff, s.linear.coeffs) for s in self.summands))
-
-    def expand(self) -> Form:
-        nums, den = self._sum()
-        return Form(self.m, self.d, tuple(Fraction(n, den) for n in nums))
-
-    @property
-    def size(self) -> int:
-        return len(self.summands)
 
 
 def flattening_rank(P: Form, t: int) -> tuple[int, tuple[tuple[int, int], ...]]:
@@ -212,11 +171,16 @@ def _nonzero_int(rng: random.Random, bound: int) -> int:
             return v
 
 
+def _check_point_count(count: int, bound: int) -> None:
+    """count distinct nonzero integers fit in [-bound, bound]."""
+    if count > 2 * bound:
+        raise InputError("bound too small for the requested point count")
+
+
 def _distinct_nonzero_ints(rng: random.Random, count: int, bound: int) -> list[int]:
     """rng.sample of count values from -bound..-1, 1..bound, drawn by index
     so that no list of all 2 * bound values is built."""
-    if count > 2 * bound:
-        raise InputError("bound too small for the requested point count")
+    _check_point_count(count, bound)
     return [j - bound + (j >= bound) for j in rng.sample(range(2 * bound), count)]
 
 
@@ -237,7 +201,9 @@ def _combine_rows(S: QMatrix, coeffs: Sequence[Fraction]) -> list[Fraction]:
 
 
 def _intersect_spans(A: QMatrix, B: QMatrix) -> list[tuple[list[Fraction], list[Fraction]]]:
-    """rowspace(A) & rowspace(B) via the kernel of the stacked rows.
+    """rowspace(A) & rowspace(B) via the kernel of the stacked rows, over
+    all of A's columns (the conic construction; the line constructions solve
+    in the line's own coordinates with ``binary.line_relations``).
 
     Returns (relation, vector) pairs: the relation x satisfies
     x[:rA] . A = -x[rA:] . B and the vector is x[:rA] . A itself.
@@ -344,10 +310,10 @@ def _sample_jet_on_line(
     Returns (Z, line_pts, alphas, betas, Q), where Q is the combination of the
     line powers with coefficients alphas and of the jet span rows with betas,
     all nonzero; None for a degenerate draw.  With ``general`` Z must also be
-    in linearly general position.  The line powers and the jet span rows are
-    independent: n_line <= d + 1 distinct points of a line and a jet of
-    length k <= d + 1 along it, a Vandermonde matrix and a triangular one in
-    the line's own coordinates.
+    in linearly general position.  The relation is solved in the line's own
+    d+1 coordinates (``line_relations``), where the line powers and the jet
+    rows are a Vandermonde matrix on distinct z and unit rows, so both are
+    independent; only Q is expanded in the degree-d basis of P^m.
     """
     Q0 = random_vector(rng, m, bound)
     V = random_vector(rng, m, bound)
@@ -365,18 +331,16 @@ def _sample_jet_on_line(
     if Z is None or (general and not lgp_check(Z)):
         return None
     zs = _distinct_nonzero_ints(rng, n_line, bound)
-    line_pts = [_point_on_line(Q0, V, z) for z in zs]
-    A = power_rows(m, d, line_pts)
-    J = span_matrix(SchemeSpec(m, (jet,)), d)
-    inter = _intersect_spans(A, J)
-    if len(inter) != 1:
+    relations = line_relations(zs, d, k)
+    if len(relations) != 1:
         return None
-    x, qvec = inter[0]
-    alphas = x[:n_line]
-    betas = [-b for b in x[n_line:]]
+    alphas = relations[0][:n_line]
+    betas = [-b for b in relations[0][n_line:]]
     if any(a == 0 for a in alphas) or any(b == 0 for b in betas):
         return None
-    return Z, line_pts, alphas, betas, Form(m, d, tuple(qvec))
+    line_pts = [_point_on_line(Q0, V, z) for z in zs]
+    Q = _combine_rows(power_rows(m, d, line_pts), alphas)
+    return Z, line_pts, alphas, betas, Form(m, d, tuple(Q))
 
 
 def _plus_point_powers(
@@ -387,280 +351,6 @@ def _plus_point_powers(
     cs = [Fraction(_nonzero_int(rng, bound)) for _ in pts]
     nums, den = power_sum(Q.m, Q.d, zip(cs, pts))
     return Q + Form(Q.m, Q.d, tuple(Fraction(n, den) for n in nums)), cs
-
-
-# ---------------------------------------------------------------------------
-# binary forms: Sylvester's theorem, apolar kernels, explicit decompositions
-
-
-def _poly_trim(p: list[Fraction]) -> list[Fraction]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_deriv(p: list[Fraction]) -> list[Fraction]:
-    return [p[i] * i for i in range(1, len(p))]
-
-
-def _poly_divmod(a: list[Fraction], b: list[Fraction]):
-    a = a[:]
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b) and any(c != 0 for c in a):
-        if a[-1] == 0:
-            a.pop()
-            continue
-        shift = len(a) - len(b)
-        factor = a[-1] / b[-1]
-        q[shift] = factor
-        for i, c in enumerate(b):
-            a[shift + i] -= factor * c
-        a.pop()
-    return _poly_trim(q), _poly_trim(a)
-
-
-def _poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a, b = _poly_trim(a[:]), _poly_trim(b[:])
-    while b:
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
-
-
-def _dehomogenize(h: Form) -> tuple[list[Fraction], int]:
-    """Return (p, a) with h = y0^a * homogenization of p(z), z = y1/y0; the
-    coefficient of y0^(r-j) y1^j is that of z^j."""
-    p = _poly_trim(list(h.coeffs))
-    return p, h.d - (len(p) - 1)
-
-
-def _binary_squarefree(h: Form) -> bool:
-    p, y0_mult = _dehomogenize(h)
-    if not p:
-        return False
-    if y0_mult >= 2:
-        return False
-    g = _poly_gcd(p, _poly_deriv(p))
-    return len(g) <= 1
-
-
-def _rational_roots(p: list[Fraction]) -> Optional[list[Fraction]]:
-    """All roots with multiplicity when p splits over Q, else None."""
-    p = _poly_trim(p[:])
-    if len(p) <= 1:
-        return []
-    roots = []
-    while p[0] == 0 and len(p) > 1:
-        roots.append(Fraction(0))
-        p = p[1:]
-    denom = 1
-    for c in p:
-        denom = denom * c.denominator // gcd(denom, c.denominator)
-    ip = [int(c * denom) for c in p]
-    while len(ip) > 1:
-        a0, an = ip[0], ip[-1]
-        if a0 == 0:
-            roots.append(Fraction(0))
-            ip = ip[1:]
-            continue
-        found = None
-        for pdiv in _divisors(abs(a0)):
-            for qdiv in _divisors(abs(an)):
-                for sign in (1, -1):
-                    cand = Fraction(sign * pdiv, qdiv)
-                    if _int_poly_eval(ip, cand) == 0:
-                        found = cand
-                        break
-                if found is not None:
-                    break
-            if found is not None:
-                break
-        if found is None:
-            return None
-        ip = _int_poly_deflate(ip, found)
-        roots.append(found)
-    return roots
-
-
-def _divisors(n: int) -> list[int]:
-    out = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.append(i)
-            if i != n // i:
-                out.append(n // i)
-        i += 1
-    return sorted(out)
-
-
-def _int_poly_eval(p: list[int], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-def _int_poly_deflate(p: list[int], root: Fraction) -> list[int]:
-    """Divide by (q z - p_num) after scaling; returns integer coefficients."""
-    frac = [Fraction(c) for c in p]
-    quot, rem = _poly_divmod(frac, [-root, Fraction(1)])
-    if rem:
-        raise InternalInconsistency(f"{root} is not a root of the polynomial")
-    denom = 1
-    for c in quot:
-        denom = denom * c.denominator // gcd(denom, c.denominator)
-    return [int(c * denom) for c in quot]
-
-
-def _binary_projective_roots(h: Form) -> Optional[list[tuple[Fraction, Fraction]]]:
-    """Distinct projective roots (a : b) when h is squarefree and splits
-    over the rationals; None otherwise."""
-    if not _binary_squarefree(h):
-        return None
-    p, y0_mult = _dehomogenize(h)
-    roots = _rational_roots(p)
-    if roots is None:
-        return None
-    pts = [(Fraction(1), z) for z in roots]
-    if y0_mult == 1:
-        pts.append((Fraction(0), Fraction(1)))
-    if len(pts) != h.d or len(set(pts)) != len(pts):
-        return None
-    return pts
-
-
-def _apolar_kernel(f: Form, r: int) -> list[Form]:
-    """Degree-r forms h with h(d/dx) f = 0, as a deterministic basis."""
-    return [Form(1, r, tuple(v)) for v in kernel_basis(_contraction_rows(f, r).transpose())]
-
-
-def _kernel_candidates(basis: Sequence[Form]):
-    """Deterministic stream of nonzero elements of the span of `basis`."""
-    for h in basis:
-        yield h
-    n = len(basis)
-    for i in range(n):
-        for j in range(i + 1, n):
-            yield Form(1, basis[0].d, tuple(a + b for a, b in zip(basis[i].coeffs, basis[j].coeffs)))
-            yield Form(1, basis[0].d, tuple(a - b for a, b in zip(basis[i].coeffs, basis[j].coeffs)))
-    head = basis[: min(n, 4)]
-    for coeffs in itertools.product(range(-3, 4), repeat=len(head)):
-        if all(c == 0 for c in coeffs):
-            continue
-        acc = [Fraction(0)] * (basis[0].d + 1)
-        for c, h in zip(coeffs, head):
-            if c:
-                acc = [x + c * y for x, y in zip(acc, h.coeffs)]
-        if any(x != 0 for x in acc):
-            yield Form(1, basis[0].d, tuple(acc))
-
-
-def _squarefree_in_kernel(basis: Sequence[Form]) -> Form:
-    """The first squarefree element of the span in `_kernel_candidates` order.
-
-    Only called on the apolar kernel in the Waring-rank degree, which holds a
-    squarefree form by Sylvester's theorem.
-    """
-    for cand in _kernel_candidates(basis):
-        if _binary_squarefree(cand):
-            return cand
-    raise InternalInconsistency(
-        "kernel should contain a squarefree form but the search found none"
-    )
-
-
-@dataclass(frozen=True)
-class SylvesterResult:
-    rank: int
-    decomposition: Optional[DecompositionRecord]
-    apolar: Form
-    # None when only the rank was computed.  True: a rational decomposition
-    # was found.  False: a proof that none exists when 2 * rank <= d + 1 (the
-    # decomposition is unique); otherwise only that the bounded search found
-    # none.
-    splits_over_rationals: Optional[bool]
-
-
-def _split_decomposition(f: Form, roots) -> Optional[DecompositionRecord]:
-    lins = [LinearForm.make([a, b]) for a, b in roots]
-    rows = power_rows(1, f.d, [L.coeffs for L in lins])
-    sol = membership_solve(rows, f.coeffs)
-    if sol is None:
-        return None
-    summands = tuple(Summand(c, L) for c, L in zip(sol, lins) if c != 0)
-    if len(summands) != len(lins):
-        return None
-    return DecompositionRecord(1, f.d, summands, f)
-
-
-def _search_rational_decomposition(f: Form, r: int) -> Optional[DecompositionRecord]:
-    """Look for r distinct small rational points on the line spanning f,
-    among the first 2001 point sets."""
-    values = [0, 1, -1, 2, -2, 3, -3, 4, -4, 5, -5]
-    affine = (
-        [(Fraction(1), Fraction(z)) for z in subset]
-        for subset in itertools.combinations(values, r)
-    )
-    with_infinity = (
-        [(Fraction(0), Fraction(1))] + [(Fraction(1), Fraction(z)) for z in subset]
-        for subset in itertools.combinations(values, r - 1)
-    )
-    for pts in itertools.islice(itertools.chain(affine, with_infinity), 2001):
-        rec = _split_decomposition(f, pts)
-        if rec is not None:
-            return rec
-    return None
-
-
-def sylvester_binary(f: Form, want_decomposition: bool = True) -> SylvesterResult:
-    """Waring rank of a binary form of degree d, with an explicit
-    decomposition when one over the rationals is found.
-
-    Sylvester's theorem: the apolar ideal of f is generated in degrees r and
-    d+2-r, where r <= d+2-r is the rank of the middle catalecticant.  The
-    Waring rank is r when the degree-r generator is squarefree and d+2-r
-    otherwise, and the roots of any squarefree apolar form of that degree (a
-    witness) are the points of a decomposition.  When 2r <= d+1 the degree-r
-    kernel is the generator alone, and the rank-r decomposition is unique
-    (Comas and Seiguer, "On the rank of a binary form", 2011): f splits over
-    the rationals exactly when that witness has distinct rational roots, so
-    ``splits_over_rationals`` False is a proof.  Otherwise the kernel
-    candidates and then a bounded search over small rational points are
-    tried, and False only means that neither found a decomposition.  The
-    returned apolar form is the witness, or the kernel element whose roots
-    gave the decomposition.
-    """
-    if f.m != 1:
-        raise InputError("sylvester_binary needs a binary form")
-    if f.is_zero():
-        raise InputError("zero form has no rank")
-    d = f.d
-    if d == 1:
-        L = LinearForm(1, f.coeffs)
-        rec = DecompositionRecord(1, 1, (Summand(Fraction(1), L),), f)
-        return SylvesterResult(1, rec, f, True)
-    r = rank_exact(catalecticant_matrix(f, d // 2))
-    kernel = _apolar_kernel(f, r)
-    if len(kernel) == 1 and not _binary_squarefree(kernel[0]):
-        r = d + 2 - r
-        kernel = _apolar_kernel(f, r)
-    witness = _squarefree_in_kernel(kernel)
-    if not want_decomposition:
-        return SylvesterResult(r, None, witness, None)
-    # with a one-element kernel every r-term decomposition lies on the roots
-    # of the witness, so neither the other candidates nor the search can help
-    unique = len(kernel) == 1
-    for cand in [witness] if unique else _kernel_candidates(kernel):
-        roots = _binary_projective_roots(cand)
-        rec = None if roots is None else _split_decomposition(f, roots)
-        if rec is not None:
-            return SylvesterResult(r, rec, cand, True)
-    rec = None if unique else _search_rational_decomposition(f, r)
-    return SylvesterResult(r, rec, witness, rec is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -914,8 +604,9 @@ def construct_line_jet(
         raise InputError("jet degree t1 must satisfy 2 <= t1 <= d/2")
     if not (0 <= s1 and 2 * s1 <= d):
         raise InputError("extra point count s1 must satisfy 0 <= s1 <= d/2")
-    rng = random.Random(seed)
     n_line = d + 2 - t1
+    _check_point_count(n_line, bound)
+    rng = random.Random(seed)
     t = t1 + s1
     r_val = d + 2 + s1 - t1
 
@@ -923,16 +614,15 @@ def construct_line_jet(
         sample = _sample_jet_on_line(rng, m, d, bound, t1, s1, n_line)
         if sample is None:
             return None
-        Z, line_pts, alphas, _, Qpt = sample
+        Z, line_pts, alphas, betas, Qpt = sample
         Q0, V = Z.components[0].curve[:2]
         pts = [r.point for r in Z.components[1:]]
         c0 = Fraction(_nonzero_int(rng, bound))
         P, cs = _plus_point_powers(rng, Qpt.scale(c0), pts, bound)
 
-        zero = tuple(Fraction(0) for _ in range(m + 1))
-        full_jet = Jet((Q0, V) + (zero,) * (d - 1))
-        full_rows = span_matrix(SchemeSpec(m, (full_jet,)), d)
-        dim_claim_rank = rank_with_fastpath(full_rows.stack(power_rows(m, d, pts)))
+        # the powers of d+1 distinct points of the line span nu_d of the line
+        line_span = [_point_on_line(Q0, V, j) for j in range(d + 1)]
+        dim_claim_rank = rank_with_fastpath(power_rows(m, d, line_span + pts))
         if dim_claim_rank != d + 1 + s1:
             return None
         S = span_matrix(Z, d)
@@ -967,15 +657,11 @@ def construct_line_jet(
             "equality by the non-reduced line criterion)",
         )
         claims += decomposition
-        # Q lies in the jet span, hence in nu_d of the line, as a binary form
-        # s^(d-t1+1) h(s, u) with deg_u h = t1-1 (every beta is nonzero); by
-        # Sylvester its rank is d+2-t1, since 2 t1 <= d and its apolar
-        # generator of degree t1, u^t1, is not squarefree
-        gamma = membership_solve(full_rows, Qpt.coeffs)
-        if gamma is None:
-            raise InternalInconsistency(
-                "self-check failed: the line-jet point is not on nu_d of its line"
-            )
+        # Q = sum_j betas[j] C(d, j) s^(d-j) u^j on the line s Q0 + u V, a
+        # binary form s^(d-t1+1) h(s, u) with deg_u h = t1-1 (every beta is
+        # nonzero); by Sylvester its rank is d+2-t1, since 2 t1 <= d and its
+        # apolar generator of degree t1, u^t1, is not squarefree
+        gamma = betas + [Fraction(0)] * (d + 1 - t1)
         g = Form(1, d, tuple(gamma[j] * comb(d, j) for j in range(d + 1)))
         sylv_rank = sylvester_binary(g, want_decomposition=False).rank
         if sylv_rank != d + 2 - t1:
@@ -1011,6 +697,7 @@ def construct_tangent_plus_points(
         raise InputError("ambient P^m with m >= 2 required")
     if d < 5 or not (3 <= t <= d):
         raise InputError("need d >= 5 and 3 <= t <= d")
+    _check_point_count(d, bound)
     rng = random.Random(seed)
     r_val = d + t - 2
 
@@ -1368,6 +1055,9 @@ def gamma_dims(m: int, d: int, t: int, seed: int, bound: int = 50) -> dict:
 
 # ---------------------------------------------------------------------------
 # JSON encoders
+
+
+PURE_POWER = "L^d"  # the JSON shape tag of every summand
 
 
 def claim_to_json(c: Claim) -> dict:

@@ -313,6 +313,46 @@ def product_expand(factors: Iterable[tuple]) -> Form:
     return Form.from_dict(m, total, {a: Fraction(n, den) for a, n in acc.items()})
 
 
+@dataclass(frozen=True)
+class Summand:
+    """The term coeff * linear^d of a power-sum decomposition."""
+
+    coeff: Fraction
+    linear: LinearForm
+
+
+@dataclass(frozen=True)
+class DecompositionRecord:
+    """An exact identity target = sum of summands; verified on construction,
+    n * q == p * den for each sum coefficient n / den and target p / q."""
+
+    m: int
+    d: int
+    summands: tuple[Summand, ...]
+    target: Form
+
+    def __post_init__(self):
+        if not self.summands:
+            raise InputError("decomposition needs at least one summand")
+        ms = {s.linear.m for s in self.summands} | {self.target.m}
+        if ms != {self.m} or self.target.d != self.d:
+            raise InputError("decomposition and target live in different spaces")
+        nums, den = self._sum()
+        if any(n * q.denominator != q.numerator * den for n, q in zip(nums, self.target.coeffs)):
+            raise InputError("decomposition does not re-expand to its target")
+
+    def _sum(self) -> tuple[list[int], int]:
+        return power_sum(self.m, self.d, ((s.coeff, s.linear.coeffs) for s in self.summands))
+
+    def expand(self) -> Form:
+        nums, den = self._sum()
+        return Form(self.m, self.d, tuple(Fraction(n, den) for n in nums))
+
+    @property
+    def size(self) -> int:
+        return len(self.summands)
+
+
 def _contraction_rows(F: Form, a: int) -> QMatrix:
     """Rows d^gamma F for gamma in the degree-a basis (0 <= a <= d), over
     the degree-(d-a) basis, read off F's coefficients by direct indexing:

@@ -314,7 +314,7 @@ def fat_point_rows_oracle(point, k: int, m: int, d: int):
 
 def _gcd_squarefree(forms) -> bool:
     """Is the gcd of the given binary forms squarefree?"""
-    from veronese.construct import _dehomogenize, _poly_deriv, _poly_gcd
+    from veronese.binary import _dehomogenize, _poly_deriv, _poly_gcd
 
     polys, y0_mults = [], []
     for h in forms:
@@ -337,7 +337,7 @@ def sylvester_rank_oracle(f):
     r = 1..d: the rank is the least r whose apolar kernel holds a squarefree
     form, skipping kernels of dimension >= 2 whose gcd has a repeated factor;
     the witness is the first squarefree kernel candidate."""
-    from veronese.construct import (
+    from veronese.binary import (
         _apolar_kernel,
         _binary_squarefree,
         _kernel_candidates,

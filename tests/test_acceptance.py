@@ -11,6 +11,7 @@ from fractions import Fraction
 from math import comb
 
 from oracles import naive_membership, naive_rank, proper_subscheme_spans, substitute
+from veronese.binary import sylvester_binary
 from veronese.construct import (
     construct_conic_double,
     construct_line_jet,
@@ -18,7 +19,6 @@ from veronese.construct import (
     construct_tangent_plus_points,
     flattening_rank,
     gamma_dims,
-    sylvester_binary,
     terracini_dim,
 )
 from veronese.forms import LinearForm, power_expand, product_expand

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from veronese.binary import line_relations, sylvester_binary
 from veronese.construct import (
     MAX_ATTEMPTS,
-    DecompositionRecord,
-    Summand,
     _combine_rows,
     _distinct_nonzero_ints,
     _exclusion_claim,
+    _intersect_spans,
     _point_on_line,
     certificate_to_json,
     certify_border_rank,
@@ -24,7 +24,6 @@ from veronese.construct import (
     flattening_rank,
     gamma_dims,
     line_condition,
-    sylvester_binary,
     terracini_dim,
 )
 from veronese import construct, rationalla
@@ -36,8 +35,10 @@ from veronese.errors import (
     ResampleExhausted,
 )
 from veronese.forms import (
+    DecompositionRecord,
     Form,
     LinearForm,
+    Summand,
     catalecticant_matrix,
     power_expand,
     power_rows,
@@ -750,3 +751,80 @@ def test_line_powers_and_line_jet_spans_have_full_rank(m, d, data):
     J = span_matrix(SchemeSpec(m, (Jet((Q0, V) + (zero,) * (k - 2)),)), d)
     assert naive_rank(A) == n
     assert naive_rank(J) == k
+
+
+# --- line relations in the line's own coordinates -----------------------
+
+
+def _line_and_jet_rows(m, d, k, Q0, V, zs):
+    """The degree-d powers of the line points Q0 + zV and the span rows of
+    the length-k jet (Q0, V, 0, ...), over the C(m+d, m) monomials."""
+    A = power_rows(m, d, [_point_on_line(Q0, V, z) for z in zs])
+    zero = tuple(F(0) for _ in Q0)
+    J = span_matrix(SchemeSpec(m, (Jet((Q0, V) + (zero,) * (k - 2)),)), d)
+    return A, J
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from((2, 3)), st.integers(5, 13), st.data())
+def test_line_relations_equal_the_ambient_intersection(m, d, data):
+    """The relation solved over the line's d+1 coordinates is the one
+    ``_intersect_spans`` finds over all C(m+d, m) columns, basis vector by
+    basis vector, and Q pushed forward from the line powers is the ambient
+    intersection vector, which the jet rows reach with the betas."""
+    k = data.draw(st.integers(2, d // 2))
+    n = data.draw(st.integers(d + 2 - k, d + 1))
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    Q0, V = random_jet_on_line(rng, m, 9, 2).curve
+    zs = _distinct_nonzero_ints(rng, n, 9)
+    A, J = _line_and_jet_rows(m, d, k, Q0, V, zs)
+    ambient = _intersect_spans(A, J)
+    relations = line_relations(zs, d, k)
+    assert relations == [x for x, _ in ambient]
+    for x, vec in ambient:
+        assert _combine_rows(A, x[:n]) == vec
+        assert _combine_rows(J, [-b for b in x[n:]]) == vec
+
+
+@pytest.mark.parametrize("d, k, bound", [(6, 2, 3), (9, 3, 4)])
+def test_symmetric_line_parameters_force_a_zero_jet_coefficient(d, k, bound):
+    """With n = d+2-k = 2 * bound line points the parameters are all of
+    -bound..-1, 1..bound.  The relation's line coefficients are
+    alpha_i = w_i / z_i^k with w_i proportional to 1 / prod_(l != i) (z_i - z_l),
+    and by residues beta_(k-2) = beta_(k-1) * sum_i 1/z_i, which is 0 here:
+    every draw of ``construct --line-jet`` or ``--tangent`` at such a bound
+    is rejected for a zero coefficient."""
+    n = d + 2 - k
+    assert n == 2 * bound
+    for seed in range(4):
+        zs = _distinct_nonzero_ints(random.Random(seed), n, bound)
+        assert sorted(zs) == [z for z in range(-bound, bound + 1) if z]
+        (x,) = line_relations(zs, d, k)
+        betas = [-b for b in x[n:]]
+        assert betas[k - 2] == 0 and betas[k - 1] != 0
+    # the identity itself, on parameters that are not symmetric
+    for seed in range(4):
+        zs = _distinct_nonzero_ints(random.Random(seed), n, bound + 3)
+        (x,) = line_relations(zs, d, k)
+        betas = [-b for b in x[n:]]
+        assert betas[k - 2] == betas[k - 1] * sum(F(1, z) for z in zs)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "3", "5", "--tangent", "3", "--bound", "2"],
+        ["construct", "2", "6", "--line-jet", "2,1", "--bound", "2"],
+        ["construct", "3", "9", "--line-jet", "3,1", "--bound", "1"],
+    ],
+)
+def test_too_small_bound_is_refused_before_sampling(argv, monkeypatch, capsys):
+    """n_line > 2 * bound distinct nonzero line parameters cannot exist, and
+    the constructors say so before they draw anything."""
+    entered = []
+    monkeypatch.setattr(construct, "_resample", lambda *a: entered.append(a))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: bound too small for the requested point count\n"
+    assert entered == []

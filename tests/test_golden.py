@@ -73,8 +73,9 @@ FILE_COMMANDS = [
     "sylvester --form sylvester_split.json",
 ]
 
-# Scale-up sizes: a kernel through ``_intersect_spans`` on 220 columns, a
-# tangent plane plus points, membership solves on 286 columns, and h1 of 40
+# Scale-up sizes: a line-jet relation (a kernel on 220 columns when these
+# were recorded, now on the line's own 10 coordinates), a tangent plane plus
+# points, membership solves on 286 columns, and h1 of 40
 # double points, a 160 x 165 conditions matrix of full rank.
 SCALE_UP_COMMANDS = [
     "construct 3 9 --line-jet 2,1 --seed 0",
@@ -108,8 +109,8 @@ POWER_SUM_COMMANDS = [
 # Flattening ranks below the probe's cap (label 5,1 at a = 2, 3; Cat_1 of
 # rank 3 < 4 for 3,1 in P^3), a membership-only label, the line-jet and
 # tangent constructions at d = 13 and 12, and ``certify`` of a P^3 point;
-# recorded before the flattening ranks took the capped probe, and kept for
-# solving the line constructions in the line's own coordinates.
+# recorded before the flattening ranks took the capped probe, and unchanged
+# since the line constructions solve in the line's own d+1 coordinates.
 FLATTENING_LINE_COMMANDS = [
     "construct 2 9 --label 5,1 --seed 0",
     "construct 3 9 --label 3,1 --seed 0",

@@ -1,0 +1,41 @@
+"""Source-level checks on the package itself."""
+
+import ast
+import re
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "veronese"
+
+
+def _private_definitions(tree: ast.Module):
+    """(name, first line, last line) of every module-level _name: functions,
+    classes and assigned constants, but not dunders."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node.lineno, node.end_lineno
+
+
+def test_every_private_helper_is_used():
+    """Each module-level _name in the package is mentioned somewhere in the
+    package outside its own definition, so no helper outlives its callers."""
+    sources = {path: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert sources
+    unused = []
+    for path, text in sources.items():
+        lines = text.splitlines()
+        for name, first, last in _private_definitions(ast.parse(text)):
+            word = re.compile(rf"\b{re.escape(name)}\b")
+            everywhere = sum(len(word.findall(t)) for t in sources.values())
+            own = sum(len(word.findall(line)) for line in lines[first - 1 : last])
+            if everywhere == own:
+                unused.append(f"{path.name}:{first} {name}")
+    assert unused == []
