@@ -201,9 +201,8 @@ def _combine_rows(S: QMatrix, coeffs: Sequence[Fraction]) -> list[Fraction]:
 
 
 def _intersect_spans(A: QMatrix, B: QMatrix) -> list[tuple[list[Fraction], list[Fraction]]]:
-    """rowspace(A) & rowspace(B) via the kernel of the stacked rows, over
-    all of A's columns (the conic construction; the line constructions solve
-    in the line's own coordinates with ``binary.line_relations``).
+    """rowspace(A) & rowspace(B) via the kernel of the stacked rows (the
+    conic construction; the lines use ``binary.line_relations``).
 
     Returns (relation, vector) pairs: the relation x satisfies
     x[:rA] . A = -x[rA:] . B and the vector is x[:rA] . A itself.
