@@ -23,7 +23,9 @@ modular proof, and five flattening and line-construction cases plus a P^3
 ``certify`` pair recorded before the flattening ranks took the capped probe,
 and five seeded constructions that reject draws (one of them every draw,
 so it exits 3) recorded before the sampling loops shared one resample
-routine.  The inputs live in ``tests/golden/``.
+routine, and four conic double points with multi-component and reduced
+divisors, at d = 5 and 8, recorded before the conic relation moved to the
+conic's own coordinates.  The inputs live in ``tests/golden/``.
 
 Record the digests again, only for a change that means to alter output:
 
@@ -135,6 +137,17 @@ RESAMPLE_COMMANDS = [
     "construct 2 6 --line-jet 2,1 --bound 3 --seed 0",
 ]
 
+# Conic double points beyond the README's 6/6: divisors with several
+# components, reduced points only, and d = 8 with a two-jet divisor;
+# recorded before the conic relation was solved in the conic's own 2d+1
+# coordinates.
+CONIC_COMMANDS = [
+    "construct 2 5 --conic-a 3,3 --conic-b 6 --seed 0",
+    "construct 2 5 --conic-a 2,2,2 --conic-b 3,3 --seed 1",
+    "construct 2 5 --conic-a 1,1,1,1,1,1 --conic-b 6 --seed 0",
+    "construct 2 8 --conic-a 5,4 --conic-b 9 --seed 0",
+]
+
 CORPUS = (
     [f"{c} --seed {s}" for c in README_COMMANDS for s in (0, 1)]
     + FILE_COMMANDS
@@ -144,6 +157,7 @@ CORPUS = (
     + POWER_SUM_COMMANDS
     + FLATTENING_LINE_COMMANDS
     + RESAMPLE_COMMANDS
+    + CONIC_COMMANDS
 )
 
 
