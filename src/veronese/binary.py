@@ -1,12 +1,12 @@
 """Binary forms: Sylvester's theorem, apolar kernels, explicit
-decompositions, and relations on the degree-d image of a line.
+decompositions, and relations on the image of a rational curve.
 
-A binary form of degree d has d+1 coefficients, on y0^(d-j) y1^j for
-j = 0..d.  The same coordinates describe the degree-d image of a line of
-P^m: with two independent points Q0 and V of the line, the forms
-b_j = C(d, j) (Q0.x)^(d-j) (V.x)^j are a basis of its span, so a relation
-among degree-d forms supported on the line can be solved in these d+1
-coordinates instead of the C(m+d, m) coordinates of P^m.
+A binary form of degree D has D+1 coefficients, on y0^(D-j) y1^j for
+j = 0..D.  The same coordinates describe the span of a rational curve of
+degree-d forms s -> sum_j s^j g_j with independent g_j: the image of a
+line of P^m (D = d, g_j = C(d, j) (Q0.x)^(d-j) (V.x)^j) or of a smooth
+plane conic (D = 2d).  A relation among jets of such a curve is solved in
+these D+1 coordinates instead of the C(m+d, m) coordinates of P^m.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 from typing import Optional, Sequence
 
 from .errors import InputError, InternalInconsistency
@@ -31,26 +31,26 @@ from .rationalla import QMatrix, kernel_basis, membership_solve, rank_exact
 
 
 # ---------------------------------------------------------------------------
-# relations on the image of a line
+# relations on a rational normal curve
 
 
-def line_relations(zs: Sequence[int], d: int, k: int) -> list[list[Fraction]]:
-    """Relations between the d-th powers of the line points Q0 + z V, z in
-    zs, and the length-k jet rows of the line at Q0, in the line's own
-    coordinates.
+def curve_relations(divisors: Sequence[tuple[int, int]], D: int) -> list[list[Fraction]]:
+    """``kernel_basis`` of the stacked jet rows of the divisors (tau, k) on
+    the rational normal curve s -> (s^j), j = 0..D: the relations x with
+    sum_i x_i row_i = 0, one coordinate per row, in the divisors' order.
 
-    The power of Q0 + z V is sum_j z^j b_j and the j-th jet row is b_j, so
-    they are the rows (z^j) and e_j over the basis b_0..b_d.  Q0 and V are
-    independent, so the b_j are, and x satisfies x[:n] . powers = -x[n:] .
-    jet rows in degree-d forms exactly when it does here: the kernel, and
-    its RREF basis from ``kernel_basis``, are those of the stacked degree-d
-    rows.  Returns the basis vectors whose common vector is nonzero, that
-    is, whose jet part x[n:] is nonzero.
+    Row i < k of (tau, k) is the i-th Taylor coefficient of s^j at tau,
+    (C(j, i) tau^(j-i))_j.  A curve of forms s -> sum_j s^j g_j with
+    independent g_j maps each row to the span row [t^i] of its jet at tau,
+    injectively, so the relations among those span rows, and the RREF basis
+    of their kernel, are these.
     """
-    n = len(zs)
-    rows = [[z**j for z in zs] + [int(i == j) for i in range(k)] for j in range(d + 1)]
-    relations = kernel_basis(QMatrix.from_ints(n + k, rows, [1] * (d + 1)))
-    return [x for x in relations if any(x[n:])]
+    cols = [
+        [comb(j, i) * tau ** (j - i) if j >= i else 0 for j in range(D + 1)]
+        for tau, k in divisors
+        for i in range(k)
+    ]
+    return kernel_basis(QMatrix.from_ints(len(cols), zip(*cols), [1] * (D + 1)))
 
 
 # ---------------------------------------------------------------------------

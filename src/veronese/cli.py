@@ -109,7 +109,7 @@ def emit_report(report: dict, fmt: str = "json") -> str:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--bound", type=int, default=50, help="coordinate box [-B, B]")
+    p.add_argument("--bound", type=int, default=50, help="coordinate box [-B, B], B <= 20 for conics")
     p.add_argument("--format", choices=("json", "table"), default="json")
     p.add_argument("--out", default=None, help="write the report to this path")
     p.add_argument(
@@ -254,7 +254,7 @@ def _run(args: argparse.Namespace) -> tuple[dict, bool]:
                 _parse_parts(args.conic_a),
                 _parse_parts(args.conic_b),
                 seed=args.seed,
-                bound=min(args.bound, 20),
+                bound=args.bound,
             )
             rep = {
                 **base,

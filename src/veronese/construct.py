@@ -17,6 +17,10 @@ that an earlier rejection already forces is recorded as passed.  A
 self-check that holds by construction (a decomposition's re-expansion, the
 tangent normal form, the line-jet Sylvester cross-check) is never
 resampled: its failure raises InternalInconsistency naming the check.
+
+The line-jet, tangent and conic constructions meet two spans on the image
+of one line or conic in its own coordinates (``binary.curve_relations``)
+and expand only their common point in the monomials of P^m.
 """
 
 from __future__ import annotations
@@ -25,10 +29,10 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm, prod
+from math import comb, prod
 from typing import Callable, List, Optional, Sequence, TypeVar
 
-from .binary import line_relations, sylvester_binary
+from .binary import curve_relations, sylvester_binary
 from .errors import (
     CertificateRefused,
     InputError,
@@ -77,6 +81,7 @@ from .schemes import (
 from .strata import StratumLabel, sigma_stratum_dim
 
 MAX_ATTEMPTS = 64
+MAX_CONIC_BOUND = 20  # the conic construction's coordinate and parameter box
 T = TypeVar("T")
 
 
@@ -188,34 +193,6 @@ def _point_on_line(Q0, V, z) -> tuple[Fraction, ...]:
     return tuple(q + Fraction(z) * v for q, v in zip(Q0, V))
 
 
-def _combine_rows(S: QMatrix, coeffs: Sequence[Fraction]) -> list[Fraction]:
-    """sum_i coeffs[i] * row i of S, summed in integers over one common
-    denominator."""
-    den = lcm(*(c.denominator * d for c, d in zip(coeffs, S.dens) if c))
-    out = [0] * S.cols
-    for c, nums, d in zip(coeffs, S.nums, S.dens):
-        if c:
-            f = c.numerator * (den // (c.denominator * d))
-            out = [o + f * x for o, x in zip(out, nums)]
-    return [Fraction(x, den) for x in out]
-
-
-def _intersect_spans(A: QMatrix, B: QMatrix) -> list[tuple[list[Fraction], list[Fraction]]]:
-    """rowspace(A) & rowspace(B) via the kernel of the stacked rows (the
-    conic construction; the lines use ``binary.line_relations``).
-
-    Returns (relation, vector) pairs: the relation x satisfies
-    x[:rA] . A = -x[rA:] . B and the vector is x[:rA] . A itself.
-    """
-    stacked = A.stack(B)
-    vectors = []
-    for x in kernel_basis(stacked.transpose()):
-        v = _combine_rows(A, x[: A.rows])
-        if any(c != 0 for c in v):
-            vectors.append((x, v))
-    return vectors
-
-
 def _exclusion_claim(Z: SchemeSpec, coeffs: Sequence[Fraction]) -> Claim:
     """The target avoids every proper subscheme span of a curvilinear Z, read
     off its coefficients on the span rows of Z, which must be independent.
@@ -309,10 +286,13 @@ def _sample_jet_on_line(
     Returns (Z, line_pts, alphas, betas, Q), where Q is the combination of the
     line powers with coefficients alphas and of the jet span rows with betas,
     all nonzero; None for a degenerate draw.  With ``general`` Z must also be
-    in linearly general position.  The relation is solved in the line's own
-    d+1 coordinates (``line_relations``), where the line powers and the jet
-    rows are a Vandermonde matrix on distinct z and unit rows, so both are
-    independent; only Q is expanded in the degree-d basis of P^m.
+    in linearly general position.
+
+    The relation is ``curve_relations`` of the points (z, 1) and the jet
+    (0, k) of the line s -> Q0 + sV, whose image is sum_j s^j g_j with the
+    independent g_j = C(d, j) (Q0.x)^(d-j) (V.x)^j.  At most d+1 distinct z
+    give independent Vandermonde rows, so every relation has a nonzero jet
+    part.  Only Q is expanded in the degree-d basis of P^m.
     """
     Q0 = random_vector(rng, m, bound)
     V = random_vector(rng, m, bound)
@@ -330,7 +310,7 @@ def _sample_jet_on_line(
     if Z is None or (general and not lgp_check(Z)):
         return None
     zs = _distinct_nonzero_ints(rng, n_line, bound)
-    relations = line_relations(zs, d, k)
+    relations = curve_relations([(z, 1) for z in zs] + [(0, k)], d)
     if len(relations) != 1:
         return None
     alphas = relations[0][:n_line]
@@ -338,8 +318,8 @@ def _sample_jet_on_line(
     if any(a == 0 for a in alphas) or any(b == 0 for b in betas):
         return None
     line_pts = [_point_on_line(Q0, V, z) for z in zs]
-    Q = _combine_rows(power_rows(m, d, line_pts), alphas)
-    return Z, line_pts, alphas, betas, Form(m, d, tuple(Q))
+    Q = Form.from_ints(m, d, *power_rows(m, d, line_pts).combine(alphas))
+    return Z, line_pts, alphas, betas, Q
 
 
 def _plus_point_powers(
@@ -348,8 +328,7 @@ def _plus_point_powers(
     """Q plus a random nonzero multiple c_i of the d-th power of each point;
     returns the sum and the multiples."""
     cs = [Fraction(_nonzero_int(rng, bound)) for _ in pts]
-    nums, den = power_sum(Q.m, Q.d, zip(cs, pts))
-    return Q + Form(Q.m, Q.d, tuple(Fraction(n, den) for n in nums)), cs
+    return Q + Form.from_ints(Q.m, Q.d, *power_sum(Q.m, Q.d, zip(cs, pts))), cs
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +510,7 @@ def construct_stratum_point(
         if rank_with_fastpath(S) != t:
             return None
         lam = [Fraction(_nonzero_int(rng, bound)) for _ in range(t)]
-        P = Form(m, d, tuple(_combine_rows(S, lam)))
+        P = Form.from_ints(m, d, *S.combine(lam))
         fr, per_a = flattening_rank(P, t)  # fr <= t, else it raises
         if regime and fr != t:
             return None
@@ -777,17 +756,27 @@ def _conic_jet(curve_c, tau, length):
 
 
 def construct_conic_double(
-    d: int, a_parts: Sequence[int], b_parts: Sequence[int], seed: int, bound: int = 20
+    d: int, a_parts: Sequence[int], b_parts: Sequence[int], seed: int, bound: int = 50
 ) -> tuple[SchemeSpec, SchemeSpec, Form, Certificate]:
     """Two divisors A, B on a smooth plane conic with deg A + deg B = 2d+2
     whose degree-d spans meet in exactly one point P.
 
     Certifies that the intersection is a single point (Grassmann rank
     check), that P avoids every proper subscheme span of both divisors, and
-    reports the border rank min(deg A, deg B).
+    reports the border rank min(deg A, deg B).  Frame and parameters lie in
+    [-bound, bound], bound capped at MAX_CONIC_BOUND.
+
+    The relation is ``curve_relations`` of the divisors in the conic's 2d+1
+    coordinates.  Let c(s) = c0 + s c1 + s^2 c2 (a frame of rank 3) and
+    (c(s).x)^d = sum_(j <= 2d) s^j g_j.  With y_i = c_i.x, only g_j contains
+    y0^(d-j) y1^j (j <= d) or y1^(2d-j) y2^(j-d) (j > d), so the g_j are
+    independent.  The jet of parameter tau is that of c(tau + t), whose span
+    rows sum_j C(j, i) tau^(j-i) g_j are the curve rows under the injective
+    map s^j -> g_j: the kernel, and its RREF basis, are the ambient ones.
     """
     a_parts = tuple(int(p) for p in a_parts)
     b_parts = tuple(int(p) for p in b_parts)
+    bound = min(bound, MAX_CONIC_BOUND)
     if d < 3:
         raise InputError("need d >= 3")
     deg_a, deg_b = sum(a_parts), sum(b_parts)
@@ -812,31 +801,30 @@ def construct_conic_double(
             return None
         taus = rng.sample(range(-bound, bound + 1), len(a_parts) + len(b_parts))
         # distinct parameters of a smooth conic: distinct supports, immersed jets
-        jets = [_conic_jet(cols, tau, k) for tau, k in zip(taus, a_parts + b_parts)]
+        divisors = list(zip(taus, a_parts + b_parts))
+        jets = [_conic_jet(cols, tau, k) for tau, k in divisors]
         A = SchemeSpec(m, tuple(jets[: len(a_parts)]))
         B = SchemeSpec(m, tuple(jets[len(a_parts) :]))
-        SA, SB = span_matrix(A, d), span_matrix(B, d)
-        rA, rB = rank_exact(SA), rank_exact(SB)
-        stacked_rank = rank_exact(SA.stack(SB))
-        if rA != deg_a or rB != deg_b or stacked_rank != 2 * d + 1:
+        relations = curve_relations(divisors, 2 * d)
+        if len(relations) != 1:
             return None
-        inter = _intersect_spans(SA, SB)
-        if len(inter) != 1:
-            return None
-        x, pvec = inter[0]
-        # x[:deg_a] and -x[deg_a:] are P's unique coefficients on SA and SB
+        (x,) = relations
+        # x[:deg_a] and -x[deg_a:] are P's coefficients on the rows of A and B
         ex_a = _exclusion_claim(A, x[:deg_a])
         ex_b = _exclusion_claim(B, x[deg_a:])
         if not (ex_a.passed and ex_b.passed):
             return None
+        # The one relation proves the ranks below: 2d+2 rows with one relation
+        # have rank 2d+1, and as both of its halves are nonzero, a relation
+        # within one divisor would be a second one.
         bval = min(deg_a, deg_b)
         claims = (
-            Claim(f"first divisor of degree {deg_a} is linearly independent", (rA,), True),
-            Claim(f"second divisor of degree {deg_b} is linearly independent", (rB,), True),
+            Claim(f"first divisor of degree {deg_a} is linearly independent", (deg_a,), True),
+            Claim(f"second divisor of degree {deg_b} is linearly independent", (deg_b,), True),
             Claim(
                 f"joint span has rank 2d+1 = {2 * d + 1}, so the spans meet in "
                 "exactly one point (Grassmann)",
-                (stacked_rank,),
+                (2 * d + 1,),
                 True,
             ),
             Claim("(first divisor) " + ex_a.statement, ex_a.ranks, True),
@@ -849,7 +837,8 @@ def construct_conic_double(
             ),
         )
         cert = Certificate("border_rank", bval, claims, scheme=A, seed=seed)
-        return A, B, Form(m, d, tuple(pvec)), cert
+        P = Form.from_ints(m, d, *span_matrix(A, d).combine(x[:deg_a]))
+        return A, B, P, cert
 
     return _resample("construct_conic_double", draw)
 

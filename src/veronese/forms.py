@@ -122,6 +122,11 @@ class Form:
         return cls(m, d, tuple(coeffs))
 
     @classmethod
+    def from_ints(cls, m: int, d: int, nums: Sequence[int], den: int) -> "Form":
+        """Coefficients nums[i] / den."""
+        return cls(m, d, tuple(Fraction(n, den) for n in nums))
+
+    @classmethod
     def from_coeffs(cls, m: int, d: int, coeffs: Sequence) -> "Form":
         return cls(m, d, tuple(_q(c) for c in coeffs))
 
@@ -246,8 +251,7 @@ def power_expand(L: LinearForm, d: int) -> Form:
     """L^d by multinomial expansion; the degree-d embedding of the point L."""
     if d < 1:
         raise InputError("power_expand needs d >= 1")
-    nums, den = _power_numerators(L.coeffs, d)
-    return Form(L.m, d, tuple(Fraction(n, den) for n in nums))
+    return Form.from_ints(L.m, d, *_power_numerators(L.coeffs, d))
 
 
 def power_sum(
@@ -255,14 +259,8 @@ def power_sum(
 ) -> tuple[list[int], int]:
     """sum_i c_i L_i^d over the terms (c_i, the m+1 coordinates of L_i):
     integer numerators over one common denominator, not reduced."""
-    powers = [(c, *_power_numerators(point, d)) for c, point in terms]
-    den = lcm(*(c.denominator * D for c, _, D in powers))
-    out = [0] * comb(m + d, m)
-    for c, nums, D in powers:
-        if c:
-            f = c.numerator * (den // (c.denominator * D))
-            out = [o + f * x for o, x in zip(out, nums)]
-    return out, den
+    terms = list(terms)
+    return power_rows(m, d, [point for _, point in terms]).combine([c for c, _ in terms])
 
 
 def power_rows(m: int, d: int, points: Sequence[Sequence[Fraction]]) -> QMatrix:
@@ -345,8 +343,7 @@ class DecompositionRecord:
         return power_sum(self.m, self.d, ((s.coeff, s.linear.coeffs) for s in self.summands))
 
     def expand(self) -> Form:
-        nums, den = self._sum()
-        return Form(self.m, self.d, tuple(Fraction(n, den) for n in nums))
+        return Form.from_ints(self.m, self.d, *self._sum())
 
     @property
     def size(self) -> int:

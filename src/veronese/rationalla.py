@@ -42,8 +42,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import InputError
 
-MIN_PROBE_PRIME = 1 << 30
-PROBE_PRIME = (1 << 31) - 1  # the prime of ``rank_with_fastpath``
+PROBE_PRIME = (1 << 31) - 1  # the prime of ``modular_rank_probe``
 
 
 def _q(x) -> Fraction:
@@ -126,6 +125,17 @@ class QMatrix:
             tuple(tuple(x * s for x, s in zip(col, scale)) for col in zip(*self.nums)),
             (den,) * self.cols,
         )
+
+    def combine(self, coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
+        """sum_i coeffs[i] * row i, summed in integers: numerators over one
+        common denominator, not reduced."""
+        den = lcm(*(c.denominator * d for c, d in zip(coeffs, self.dens) if c))
+        out = [0] * self.cols
+        for c, nums, d in zip(coeffs, self.nums, self.dens):
+            if c:
+                f = c.numerator * (den // (c.denominator * d))
+                out = [o + f * x for o, x in zip(out, nums)]
+        return out, den
 
     def stack(self, other: "QMatrix") -> "QMatrix":
         """Rows of self followed by rows of other (0-row matrices adapt)."""
@@ -265,12 +275,12 @@ def membership_solve(
     return c
 
 
-def modular_rank_probe(M: QMatrix, prime: int) -> int:
-    """Rank of the numerator rows of M reduced mod prime; always <=
+def modular_rank_probe(M: QMatrix) -> int:
+    """Rank of the numerator rows of M reduced mod PROBE_PRIME; always <=
     rank_exact(M), since scaling rows does not change the rank.
 
     A fast randomized pre-filter: no denominator is ever inverted, and each
-    row mod prime is one integer of K-bit slots, so a row update is one
+    row mod the prime is one integer of K-bit slots, so a row update is one
     big-integer shift and multiply-add.  The matrix is packed along its
     shorter side (the mod-p rank of the numerators is transpose-invariant):
     with s = min(rows, cols) slots per row, at most s pivots update a row.
@@ -280,8 +290,7 @@ def modular_rank_probe(M: QMatrix, prime: int) -> int:
     below prime + s * (prime - 1)^2 < (s + 1) * prime^2 < 2^K and never
     carries into the next one.
     """
-    if prime <= MIN_PROBE_PRIME:
-        raise InputError(f"probe prime must exceed 2^30, got {prime}")
+    prime = PROBE_PRIME
     nums = M.nums if M.rows >= M.cols else list(zip(*M.nums))
     width = min(M.rows, M.cols)
     # K = 8 * ceil((bitlen((s + 1) * prime^2) + 1) / 8): whole bytes, so a
@@ -329,7 +338,7 @@ def rank_with_fastpath(M: QMatrix, cap: Optional[int] = None) -> int:
     other probe result falls back to Bareiss.
     """
     reach = min(M.rows, M.cols) if cap is None else min(M.rows, M.cols, cap)
-    probed = modular_rank_probe(M, PROBE_PRIME)
+    probed = modular_rank_probe(M)
     if probed >= reach:
         return probed
     return rank_exact(M)

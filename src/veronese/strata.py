@@ -64,7 +64,7 @@ class StratumLabel:
         return "(" + ",".join(str(p) for p in self.parts) + ")"
 
 
-def partitions_enumerate(t: int, exclude_trivial: bool = False) -> list[StratumLabel]:
+def partitions_enumerate(t: int) -> list[StratumLabel]:
     """All partitions of t in descending lexicographic order, (t) first."""
     if t < 1:
         raise InputError("t must be >= 1")
@@ -77,10 +77,7 @@ def partitions_enumerate(t: int, exclude_trivial: bool = False) -> list[StratumL
             for rest in gen(remaining - p, p):
                 yield (p,) + rest
 
-    labels = [StratumLabel(p) for p in gen(t, t)]
-    if exclude_trivial:
-        labels = [l for l in labels if not l.is_trivial()]
-    return labels
+    return [StratumLabel(p) for p in gen(t, t)]
 
 
 def _prefix_sums(parts: Sequence[int], length: int) -> list[int]:

@@ -12,7 +12,8 @@ candidate order, and the (2,3)-point rows use the library's completion of
 the point and the line direction to a basis.  The proper-subscheme spans
 truncate the components themselves and build each span with the library's
 ``span_matrix``; they are the brute-force reference for reading exclusion
-off one solve.
+off one solve.  The span intersection is the ambient reference for the
+relations solved in a rational curve's own coordinates.
 """
 
 import itertools
@@ -105,6 +106,20 @@ def naive_membership(M: QMatrix, v):
     for r, pc in enumerate(pivots):
         c[pc] = rows[r][M.rows]
     return c
+
+
+def intersect_spans_oracle(A: QMatrix, B: QMatrix):
+    """rowspace(A) & rowspace(B) from the naive kernel of the stacked rows,
+    over all of their columns: (relation, vector) pairs, where the relation x
+    satisfies x[:rA] . A = -x[rA:] . B and the vector x[:rA] . A is nonzero."""
+    rows_a = A.to_rows()
+    stacked = QMatrix.from_rows(list(zip(*(rows_a + B.to_rows()))))
+    pairs = []
+    for x in naive_kernel(stacked):
+        v = [sum((c * row[j] for c, row in zip(x, rows_a)), Fraction(0)) for j in range(A.cols)]
+        if any(v):
+            pairs.append((x, v))
+    return pairs
 
 
 def naive_modular_rank(M: QMatrix, prime: int) -> int:

@@ -76,6 +76,19 @@ def test_construct_conic(capsys):
     assert "scheme_a" in rep and "scheme_b" in rep
 
 
+def test_conic_bound_is_capped_at_20(capsys):
+    """The conic construction draws from [-20, 20] at any larger --bound, so
+    its report differs only in the echoed bound."""
+    argv = ["construct", "2", "5", "--conic-a", "3,3", "--conic-b", "6", "--bound"]
+    reports = []
+    for bound in ("20", "50"):
+        code, out = run_cli(capsys, *argv, bound)
+        assert code == 0
+        reports.append(json.loads(out))
+    assert reports[0].pop("bound") == 20 and reports[1].pop("bound") == 50
+    assert reports[0] == reports[1]
+
+
 def test_h1_command_fastpath_matches(tmp_path, capsys):
     scheme = {
         "m": 2,

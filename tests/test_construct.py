@@ -6,13 +6,12 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from veronese.binary import line_relations, sylvester_binary
+from veronese.binary import curve_relations, sylvester_binary
 from veronese.construct import (
     MAX_ATTEMPTS,
-    _combine_rows,
+    _conic_jet,
     _distinct_nonzero_ints,
     _exclusion_claim,
-    _intersect_spans,
     _point_on_line,
     certificate_to_json,
     certify_border_rank,
@@ -59,6 +58,7 @@ from veronese.schemes import (
 from veronese.strata import StratumLabel
 
 from oracles import (
+    intersect_spans_oracle,
     naive_membership,
     naive_rank,
     proper_subscheme_spans,
@@ -67,6 +67,12 @@ from oracles import (
 )
 
 F = Fraction
+
+
+def combined(S, coeffs):
+    """``S.combine(coeffs)`` as rationals."""
+    nums, den = S.combine(coeffs)
+    return [F(x, den) for x in nums]
 
 
 def span_combo(Z, d, coeffs):
@@ -483,7 +489,7 @@ def test_combine_rows_equals_fraction_sum(cols, nrows, data):
         sum((c * F(row[j], den) for c, row, den in zip(coeffs, nums, dens)), F(0))
         for j in range(cols)
     ]
-    assert _combine_rows(S, coeffs) == expected
+    assert combined(S, coeffs) == expected
 
 
 def test_line_condition_detects_long_line_jets():
@@ -769,8 +775,8 @@ def _line_and_jet_rows(m, d, k, Q0, V, zs):
 @given(st.sampled_from((2, 3)), st.integers(5, 13), st.data())
 def test_line_relations_equal_the_ambient_intersection(m, d, data):
     """The relation solved over the line's d+1 coordinates is the one
-    ``_intersect_spans`` finds over all C(m+d, m) columns, basis vector by
-    basis vector, and Q pushed forward from the line powers is the ambient
+    ``intersect_spans_oracle`` finds over all C(m+d, m) columns, basis vector
+    by basis vector, and Q pushed forward from the line powers is the ambient
     intersection vector, which the jet rows reach with the betas."""
     k = data.draw(st.integers(2, d // 2))
     n = data.draw(st.integers(d + 2 - k, d + 1))
@@ -778,12 +784,64 @@ def test_line_relations_equal_the_ambient_intersection(m, d, data):
     Q0, V = random_jet_on_line(rng, m, 9, 2).curve
     zs = _distinct_nonzero_ints(rng, n, 9)
     A, J = _line_and_jet_rows(m, d, k, Q0, V, zs)
-    ambient = _intersect_spans(A, J)
-    relations = line_relations(zs, d, k)
+    ambient = intersect_spans_oracle(A, J)
+    relations = curve_relations([(z, 1) for z in zs] + [(0, k)], d)
     assert relations == [x for x, _ in ambient]
     for x, vec in ambient:
-        assert _combine_rows(A, x[:n]) == vec
-        assert _combine_rows(J, [-b for b in x[n:]]) == vec
+        assert combined(A, x[:n]) == vec
+        assert combined(J, [-b for b in x[n:]]) == vec
+
+
+@st.composite
+def conic_divisor_pairs(draw):
+    """A rank-3 conic frame, d in 3..8, two divisors whose degrees split
+    2d+2 and whose parts split each degree, and distinct parameters."""
+    d = draw(st.integers(3, 8))
+    coords = st.integers(-9, 9).map(F)
+    frame = draw(
+        st.lists(st.lists(coords, min_size=3, max_size=3), min_size=3, max_size=3)
+        .map(lambda rows: [tuple(r) for r in rows])
+        .filter(lambda rows: naive_rank(QMatrix.from_rows(rows)) == 3)
+    )
+    deg_a = draw(st.integers(1, 2 * d + 1))
+
+    def parts(total):
+        cuts = sorted(c for c in draw(st.sets(st.integers(1, total), max_size=5)) if c < total)
+        return [b - a for a, b in zip([0] + cuts, cuts + [total])]
+
+    a_parts, b_parts = parts(deg_a), parts(2 * d + 2 - deg_a)
+    taus = draw(
+        st.lists(
+            st.integers(-9, 9),
+            min_size=len(a_parts) + len(b_parts),
+            max_size=len(a_parts) + len(b_parts),
+            unique=True,
+        )
+    )
+    return d, frame, a_parts, b_parts, taus
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(conic_divisor_pairs())
+def test_conic_relations_equal_the_ambient_intersection(pair):
+    """On a smooth conic the relation in its 2d+1 coordinates is the one
+    ``intersect_spans_oracle`` finds over all C(d+2, 2) columns, basis vector
+    by basis vector, and the ambient ranks are the ones its certificate
+    states: deg A, deg B and 2d+1."""
+    d, frame, a_parts, b_parts, taus = pair
+    divisors = list(zip(taus, a_parts + b_parts))
+    jets = [_conic_jet(frame, tau, k) for tau, k in divisors]
+    SA = span_matrix(SchemeSpec(2, tuple(jets[: len(a_parts)])), d)
+    SB = span_matrix(SchemeSpec(2, tuple(jets[len(a_parts) :])), d)
+    assert naive_rank(SA) == sum(a_parts)
+    assert naive_rank(SB) == sum(b_parts)
+    assert naive_rank(SA.stack(SB)) == 2 * d + 1
+    ambient = intersect_spans_oracle(SA, SB)
+    relations = curve_relations(divisors, 2 * d)
+    assert relations == [x for x, _ in ambient]
+    for x, vec in ambient:
+        assert combined(SA, x[: SA.rows]) == vec
+        assert combined(SB, [-c for c in x[SA.rows :]]) == vec
 
 
 @pytest.mark.parametrize("d, k, bound", [(6, 2, 3), (9, 3, 4)])
@@ -799,13 +857,13 @@ def test_symmetric_line_parameters_force_a_zero_jet_coefficient(d, k, bound):
     for seed in range(4):
         zs = _distinct_nonzero_ints(random.Random(seed), n, bound)
         assert sorted(zs) == [z for z in range(-bound, bound + 1) if z]
-        (x,) = line_relations(zs, d, k)
+        (x,) = curve_relations([(z, 1) for z in zs] + [(0, k)], d)
         betas = [-b for b in x[n:]]
         assert betas[k - 2] == 0 and betas[k - 1] != 0
     # the identity itself, on parameters that are not symmetric
     for seed in range(4):
         zs = _distinct_nonzero_ints(random.Random(seed), n, bound + 3)
-        (x,) = line_relations(zs, d, k)
+        (x,) = curve_relations([(z, 1) for z in zs] + [(0, k)], d)
         betas = [-b for b in x[n:]]
         assert betas[k - 2] == betas[k - 1] * sum(F(1, z) for z in zs)
 

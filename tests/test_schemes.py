@@ -289,7 +289,7 @@ def test_probe_examples_reach_the_fallback():
     rank."""
     for Z, d in ((AH_245, 4), (AH_349, 4), (TWO_TRIPLE, 4), (NUMERATOR_P, 3)):
         M = conditions_matrix(Z, d)
-        assert modular_rank_probe(M, P31) < min(M.rows, M.cols)
+        assert modular_rank_probe(M) < min(M.rows, M.cols)
 
 
 def test_probe_reads_numerators_past_denominators_divisible_by_the_prime():
@@ -300,7 +300,7 @@ def test_probe_reads_numerators_past_denominators_divisible_by_the_prime():
     rank (8) and Bareiss settles it."""
     M = conditions_matrix(DENOMINATOR_P, 3)
     assert any(den % P31 == 0 for den in M.dens)
-    assert modular_rank_probe(M, P31) == 6
+    assert modular_rank_probe(M) == 6
     assert rank_with_fastpath(M) == naive_rank(M) == 8
 
 

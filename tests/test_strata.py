@@ -26,7 +26,7 @@ L = StratumLabel.make
 
 def test_partitions_small_cases():
     assert [p.parts for p in partitions_enumerate(3)] == [(3,), (2, 1), (1, 1, 1)]
-    assert [p.parts for p in partitions_enumerate(4, exclude_trivial=True)] == [
+    assert [p.parts for p in partitions_enumerate(4) if not p.is_trivial()] == [
         (4,),
         (3, 1),
         (2, 2),
