@@ -25,7 +25,10 @@ and five seeded constructions that reject draws (one of them every draw,
 so it exits 3) recorded before the sampling loops shared one resample
 routine, and four conic double points with multi-component and reduced
 divisors, at d = 5 and 8, recorded before the conic relation moved to the
-conic's own coordinates.  The inputs live in ``tests/golden/``.
+conic's own coordinates, and two ``certify`` pairs outside the uniqueness
+regime that pass the line-intersection criterion, recorded before that
+criterion became the degree-3 case of the linear-position predicate.  The
+inputs live in ``tests/golden/``.
 
 Record the digests again, only for a change that means to alter output:
 
@@ -148,6 +151,16 @@ CONIC_COMMANDS = [
     "construct 2 8 --conic-a 5,4 --conic-b 9 --seed 0",
 ]
 
+# ``certify`` outside the uniqueness regime 2t <= d+1 where no line meets
+# the scheme in degree 3, so the line-intersection criterion certifies the
+# border rank: four general points in P^2 at d = 5, and a tangent vector
+# plus three points in P^3 at d = 7; recorded before that criterion became
+# the degree-3 case of ``schemes.linearly_general``.
+LINE_CRITERION_COMMANDS = [
+    "certify --point certify_plane_points_point.json --scheme certify_plane_points_scheme.json",
+    "certify --point certify_p3_tangent_point.json --scheme certify_p3_tangent_scheme.json",
+]
+
 CORPUS = (
     [f"{c} --seed {s}" for c in README_COMMANDS for s in (0, 1)]
     + FILE_COMMANDS
@@ -158,6 +171,7 @@ CORPUS = (
     + FLATTENING_LINE_COMMANDS
     + RESAMPLE_COMMANDS
     + CONIC_COMMANDS
+    + LINE_CRITERION_COMMANDS
 )
 
 
