@@ -53,7 +53,6 @@ from .forms import (
 )
 from .rationalla import (
     QMatrix,
-    kernel_basis,
     membership_solve,
     rank_exact,
     rank_with_fastpath,
@@ -67,7 +66,7 @@ from .schemes import (
     _dependent,
     assemble_scheme,
     h1,
-    lgp_check,
+    linearly_general,
     random_fat_point,
     random_jet_on_conic,
     random_jet_on_line,
@@ -307,7 +306,7 @@ def _sample_jet_on_line(
             return None
         pts.append(Reduced(p))
     Z = assemble_scheme(m, (jet,) + tuple(pts))
-    if Z is None or (general and not lgp_check(Z)):
+    if Z is None or (general and not linearly_general(Z, m + 1)):
         return None
     zs = _distinct_nonzero_ints(rng, n_line, bound)
     relations = curve_relations([(z, 1) for z in zs] + [(0, k)], d)
@@ -335,64 +334,16 @@ def _plus_point_powers(
 # border-rank certification
 
 
-def _candidate_lines(Z: SchemeSpec) -> list[QMatrix]:
-    """Lines that could meet Z in degree >= 3: through support pairs and
-    tangent to jets.  Each line is returned as the matrix of its two
-    spanning points."""
-    spans = []
-    pts = [c.support for c in Z.components]
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            spans.append(QMatrix.from_rows([pts[i], pts[j]]))
-    for c in Z.components:
-        if isinstance(c, Jet):
-            spans.append(QMatrix.from_rows([c.curve[0], c.curve[1]]))
-    return spans
-
-
-def _line_degree(Z: SchemeSpec, line: QMatrix) -> int:
-    """Degree of the scheme-theoretic intersection of a curvilinear Z with a
-    line given by two spanning points."""
-    forms = kernel_basis(line)  # linear forms vanishing on the line
-    total = 0
-    for comp in Z.components:
-        if isinstance(comp, Reduced):
-            if all(
-                sum(f * x for f, x in zip(form, comp.point)) == 0 for form in forms
-            ):
-                total += 1
-        elif isinstance(comp, Jet):
-            orders = []
-            for form in forms:
-                vals = [
-                    sum(f * x for f, x in zip(form, cv)) for cv in comp.curve
-                ]
-                order = comp.length
-                for s, v in enumerate(vals):
-                    if v != 0:
-                        order = s
-                        break
-                orders.append(order)
-            total += min(orders)
-        else:
-            raise InputError("line degree needs curvilinear components")
-    return total
-
-
-def line_condition(Z: SchemeSpec) -> bool:
-    """deg(Z and L) <= 2 for every line L through the components of Z."""
-    return all(_line_degree(Z, line) <= 2 for line in _candidate_lines(Z))
-
-
 def certify_border_rank(P: Form, Z: SchemeSpec, d: int) -> Certificate:
     """Certify the border rank of P against a curvilinear scheme Z.
 
     Claims, in order: the scheme imposes independent conditions; P lies in
     its span; P avoids every proper subscheme span; when twice the degree is
-    at most d+1 (or the line-intersection criterion applies) the scheme is
-    the unique minimal one and the border rank equals its degree; the
-    flattening rank agrees.  Any failed check raises CertificateRefused; a
-    flattening disagreement raises InternalInconsistency.
+    at most d+1 (or the line-intersection criterion applies: every degree-3
+    subscheme spans a plane) the scheme is the unique minimal one and the
+    border rank equals its degree; the flattening rank agrees.  Any failed
+    check raises CertificateRefused; a flattening disagreement raises
+    InternalInconsistency.
     """
     if P.m != Z.m or P.d != d:
         raise InputError("form and scheme live in different spaces")
@@ -418,7 +369,7 @@ def certify_border_rank(P: Form, Z: SchemeSpec, d: int) -> Certificate:
             )
         )
     else:
-        f1_ok = Z.m >= 2 and t <= d and line_condition(Z)
+        f1_ok = Z.m >= 2 and t <= d and linearly_general(Z, 3)
         if f1_ok:
             claims.append(
                 Claim(

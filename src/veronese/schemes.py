@@ -417,20 +417,6 @@ def h1(Z: SchemeSpec, d: int) -> int:
     return scheme_degree(Z) - rank_with_fastpath(conditions_matrix(Z, d))
 
 
-def _component_caps(Z: SchemeSpec) -> list[int]:
-    caps = []
-    for comp in Z.components:
-        if isinstance(comp, Reduced):
-            caps.append(1)
-        elif isinstance(comp, Jet):
-            caps.append(comp.length)
-        else:
-            raise UnsupportedComponentError(
-                "subscheme enumeration needs curvilinear components"
-            )
-    return caps
-
-
 def hyperplane_basis(H: Hyperplane) -> QMatrix:
     """Deterministic m x (m+1) matrix whose rows span the hyperplane."""
     vecs = kernel_basis(QMatrix.from_rows([H.coeffs]))
@@ -497,24 +483,29 @@ def castelnuovo_check(Z: SchemeSpec, H: Hyperplane, d: int) -> bool:
     return h1(Z, d) <= h1(res, d - 1) + h1(tra, d)
 
 
-def lgp_check(Z: SchemeSpec) -> bool:
-    """Linearly general position: every hyperplane meets Z in degree <= m.
+def linearly_general(Z: SchemeSpec, k: int) -> bool:
+    """Every degree-k subscheme of a curvilinear Z spans a P^(k-1).
 
-    Checked exactly by requiring every degree-(m+1) subscheme (truncation
-    choices across components) to be linearly independent in degree 1.
+    A subscheme of a curvilinear scheme is a choice of truncations, the first
+    a_i curve vectors of each component, so this requires every choice with
+    sum a_i = k to be linearly independent in degree 1.  With k = m+1 it is
+    linearly general position: no hyperplane meets Z in degree > m.  With
+    k = 3 it is the line criterion: no line meets Z in degree >= 3, since such
+    a line holds a degree-3 truncation, whose span is then at most a line.
     """
-    caps = _component_caps(Z)
-    m = Z.m
-    target = m + 1
-    if sum(caps) < target:
-        return True
+    for comp in Z.components:
+        if not isinstance(comp, (Reduced, Jet)):
+            raise UnsupportedComponentError(
+                "subscheme enumeration needs curvilinear components"
+            )
     blocks = [[list(v) for v in comp.curve] for comp in Z.components]
+    caps = [len(b) for b in blocks]
+    if sum(caps) < k:
+        return True
 
     def rec(i: int, remaining: int, rows: list) -> bool:
         if remaining == 0:
-            return rank_exact(QMatrix.from_rows(rows)) == target
-        if i == len(blocks):
-            return True
+            return rank_exact(QMatrix.from_rows(rows)) == k
         lo = max(0, remaining - sum(caps[i + 1 :]))
         hi = min(caps[i], remaining)
         for a in range(lo, hi + 1):
@@ -522,7 +513,7 @@ def lgp_check(Z: SchemeSpec) -> bool:
                 return False
         return True
 
-    return rec(0, target, [])
+    return rec(0, k, [])
 
 
 def reparametrize_jet(jet: Jet, u, v) -> Jet:

@@ -13,7 +13,10 @@ the point and the line direction to a basis.  The proper-subscheme spans
 truncate the components themselves and build each span with the library's
 ``span_matrix``; they are the brute-force reference for reading exclusion
 off one solve.  The span intersection is the ambient reference for the
-relations solved in a rational curve's own coordinates.
+relations solved in a rational curve's own coordinates.  The line criterion
+reads the intersection degree of a curvilinear scheme with each candidate
+line off the vanishing orders of the line's naive kernel forms, the
+reference for the degree-3 linear-position predicate.
 """
 
 import itertools
@@ -439,3 +442,28 @@ def proper_subscheme_spans(Z: SchemeSpec, d: int) -> list:
         ]
         out.append(span_matrix(SchemeSpec(Z.m, tuple(comps)), d))
     return out
+
+
+def _line_degree_oracle(Z: SchemeSpec, a, b) -> int:
+    """Degree of the intersection of a curvilinear Z with the line through a
+    and b: each component counts the least vanishing order, along its curve,
+    of the linear forms that cut out the line (a reduced point is the curve
+    of length 1)."""
+    forms = naive_kernel(QMatrix.from_rows([a, b]))
+    total = 0
+    for comp in Z.components:
+        orders = []
+        for form in forms:
+            vals = [sum(f * x for f, x in zip(form, v)) for v in comp.curve]
+            orders.append(next((s for s, x in enumerate(vals) if x != 0), len(vals)))
+        total += min(orders)
+    return total
+
+
+def line_condition_oracle(Z: SchemeSpec) -> bool:
+    """deg(Z . L) <= 2 on every line L that could meet a curvilinear Z in
+    degree >= 3: the lines through two supports and the tangent lines of
+    the jets."""
+    lines = list(itertools.combinations([c.support for c in Z.components], 2))
+    lines += [c.curve[:2] for c in Z.components if isinstance(c, Jet)]
+    return all(_line_degree_oracle(Z, a, b) <= 2 for a, b in lines)

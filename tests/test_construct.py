@@ -22,7 +22,6 @@ from veronese.construct import (
     decomposition_to_json,
     flattening_rank,
     gamma_dims,
-    line_condition,
     terracini_dim,
 )
 from veronese import construct, rationalla
@@ -50,6 +49,7 @@ from veronese.schemes import (
     Reduced,
     SchemeSpec,
     assemble_scheme,
+    linearly_general,
     random_jet_on_conic,
     random_jet_on_line,
     random_reduced,
@@ -495,9 +495,9 @@ def test_combine_rows_equals_fraction_sum(cols, nrows, data):
 def test_line_condition_detects_long_line_jets():
     rng = random.Random(10)
     ok = SchemeSpec(2, (random_jet_on_line(rng, 2, 9, 2), random_reduced(rng, 2, 9)))
-    assert line_condition(ok) is True
+    assert linearly_general(ok, 3) is True
     bad = SchemeSpec(2, (random_jet_on_line(rng, 2, 9, 3),))
-    assert line_condition(bad) is False
+    assert linearly_general(bad, 3) is False
 
 
 def test_certify_uses_line_criterion_outside_regime():
@@ -506,7 +506,7 @@ def test_certify_uses_line_criterion_outside_regime():
     rng = random.Random(11)
     while True:
         Z = SchemeSpec(2, tuple(random_reduced(rng, 2, 20) for _ in range(4)))
-        if line_condition(Z):
+        if linearly_general(Z, 3):
             break
     P = span_combo(Z, 5, [F(1), F(2), F(3), F(4)])
     cert = certify_border_rank(P, Z, 5)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from oracles import (
     fat_point_rows_oracle,
     jet_span_rows_oracle,
+    line_condition_oracle,
     naive_rank,
     proper_subscheme_spans,
     two_three_rows_oracle,
@@ -30,10 +31,11 @@ from veronese.schemes import (
     SchemeSpec,
     TwoThreePoint,
     _dependent,
+    assemble_scheme,
     castelnuovo_check,
     conditions_matrix,
     h1,
-    lgp_check,
+    linearly_general,
     random_fat_point,
     random_hyperplane,
     random_jet_on_conic,
@@ -495,24 +497,89 @@ def test_castelnuovo_on_lemma_style_split():
 
 def test_lgp_examples():
     collinear = SchemeSpec(2, tuple(Reduced(frac(1, z, 0)) for z in range(3)))
-    assert lgp_check(collinear) is False
+    assert linearly_general(collinear, 3) is False
     square = SchemeSpec(
         2, (Reduced(E0), Reduced(E1), Reduced(E2), Reduced(frac(1, 1, 1)))
     )
-    assert lgp_check(square) is True
+    assert linearly_general(square, 3) is True
     rng = random.Random(55)
     for m in (2, 3):
         pts = [random_reduced(rng, m, 30) for _ in range(m + 2)]
         Z = SchemeSpec(m, tuple(pts))
-        assert lgp_check(Z) is True
+        assert linearly_general(Z, m + 1) is True
     # jet of length 2 plus a point in P^3, generic
     jet = random_jet_on_line(rng, 3, 30, 2)
     pt = random_reduced(rng, 3, 30)
     Z = SchemeSpec(3, (jet, pt))
-    assert lgp_check(Z) is True
+    assert linearly_general(Z, 4) is True
     # jet of length 3 on a line in P^2 fails (its line meets in degree 3)
     jet3 = random_jet_on_line(rng, 2, 30, 3)
-    assert lgp_check(SchemeSpec(2, (jet3,))) is False
+    assert linearly_general(SchemeSpec(2, (jet3,)), 3) is False
+
+
+@st.composite
+def line_criterion_schemes(draw):
+    """Reduced points, line jets and conic jets (length 2 to 4) in P^2 or P^3
+    with coordinates in [-3, 3].  Each component may be forced onto one
+    drawn line; a forced line jet then runs along it."""
+    m = draw(st.sampled_from([2, 3]))
+    coord = st.integers(-3, 3)
+    vec = st.lists(coord, min_size=m + 1, max_size=m + 1).map(lambda xs: frac(*xs))
+    q, v = draw(vec), draw(vec)
+    assume(not _dependent(q, v))
+    zero = (F(0),) * (m + 1)
+    comps = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["reduced", "line", "conic"]))
+        on_line = draw(st.booleans())
+        if on_line:
+            z = draw(coord)
+            c0 = tuple(a + z * b for a, b in zip(q, v))
+        else:
+            c0 = draw(vec)
+        assume(any(c0))
+        if kind == "reduced":
+            comps.append(Reduced(c0))
+            continue
+        c1 = v if on_line and kind == "line" else draw(vec)
+        assume(not _dependent(c0, c1))
+        if kind == "line":
+            curve = (c0, c1) + (zero,) * (draw(st.integers(2, 4)) - 2)
+        else:
+            curve = (c0, c1, draw(vec)) + (zero,) * (draw(st.integers(3, 4)) - 3)
+        comps.append(Jet(curve))
+    Z = assemble_scheme(m, comps)
+    assume(Z is not None)
+    return Z
+
+
+def test_line_criterion_equals_the_kernel_line_degree():
+    """The degree-3 linear-position predicate is the line criterion: it
+    agrees with the intersection degree read off each candidate line's
+    kernel forms, on draws that pass and draws that fail."""
+    outcomes = set()
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        derandomize=True,
+        database=None,
+        suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow],
+    )
+    @given(line_criterion_schemes())
+    def check(Z):
+        passed = linearly_general(Z, 3)
+        assert passed == line_condition_oracle(Z)
+        outcomes.add(passed)
+
+    check()
+    assert outcomes == {True, False}
+
+
+def test_linearly_general_refuses_fat_components():
+    Z = SchemeSpec(2, (FatPoint(E0, 2), Reduced(E1), Reduced(E2)))
+    with pytest.raises(UnsupportedComponentError):
+        linearly_general(Z, 3)
 
 
 def test_jet_reparametrization_preserves_row_space():

@@ -39,3 +39,28 @@ def test_every_private_helper_is_used():
             if everywhere == own:
                 unused.append(f"{path.name}:{first} {name}")
     assert unused == []
+
+
+def test_every_imported_name_is_used():
+    """Each name a package module imports is read in that module or listed
+    in its ``__all__``, so no import outlives its last use."""
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                if getattr(node, "module", None) == "__future__":
+                    continue
+                for alias in node.names:
+                    imported.setdefault(alias.asname or alias.name.split(".")[0], node.lineno)
+        used = {
+            n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                used |= {e.value for e in node.value.elts}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+    assert unused == []
