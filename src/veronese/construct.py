@@ -175,16 +175,22 @@ def _nonzero_int(rng: random.Random, bound: int) -> int:
             return v
 
 
-def _check_point_count(count: int, bound: int) -> None:
-    """count distinct nonzero integers fit in [-bound, bound]."""
-    if count > 2 * bound:
-        raise InputError("bound too small for the requested point count")
+_SMALL_BOUND = "bound too small for the requested point count"
+
+
+def _check_line_count(n_line: int, bound: int) -> None:
+    """n_line line parameters leave a choice among -bound..-1, 1..bound.  At
+    n_line = 2 * bound they are all of them, so sum_i 1/z_i = 0, and then
+    beta_(k-2) = beta_(k-1) * sum_i 1/z_i = 0 rejects every draw."""
+    if n_line >= 2 * bound:
+        raise InputError(_SMALL_BOUND)
 
 
 def _distinct_nonzero_ints(rng: random.Random, count: int, bound: int) -> list[int]:
     """rng.sample of count values from -bound..-1, 1..bound, drawn by index
     so that no list of all 2 * bound values is built."""
-    _check_point_count(count, bound)
+    if count > 2 * bound:
+        raise InputError(_SMALL_BOUND)
     return [j - bound + (j >= bound) for j in rng.sample(range(2 * bound), count)]
 
 
@@ -534,7 +540,7 @@ def construct_line_jet(
     if not (0 <= s1 and 2 * s1 <= d):
         raise InputError("extra point count s1 must satisfy 0 <= s1 <= d/2")
     n_line = d + 2 - t1
-    _check_point_count(n_line, bound)
+    _check_line_count(n_line, bound)
     rng = random.Random(seed)
     t = t1 + s1
     r_val = d + 2 + s1 - t1
@@ -626,7 +632,7 @@ def construct_tangent_plus_points(
         raise InputError("ambient P^m with m >= 2 required")
     if d < 5 or not (3 <= t <= d):
         raise InputError("need d >= 5 and 3 <= t <= d")
-    _check_point_count(d, bound)
+    _check_line_count(d, bound)  # the d line points of the relation
     rng = random.Random(seed)
     r_val = d + t - 2
 

@@ -851,7 +851,7 @@ def test_symmetric_line_parameters_force_a_zero_jet_coefficient(d, k, bound):
     alpha_i = w_i / z_i^k with w_i proportional to 1 / prod_(l != i) (z_i - z_l),
     and by residues beta_(k-2) = beta_(k-1) * sum_i 1/z_i, which is 0 here:
     every draw of ``construct --line-jet`` or ``--tangent`` at such a bound
-    is rejected for a zero coefficient."""
+    would be rejected for a zero coefficient, so both refuse it up front."""
     n = d + 2 - k
     assert n == 2 * bound
     for seed in range(4):
@@ -874,11 +874,15 @@ def test_symmetric_line_parameters_force_a_zero_jet_coefficient(d, k, bound):
         ["construct", "3", "5", "--tangent", "3", "--bound", "2"],
         ["construct", "2", "6", "--line-jet", "2,1", "--bound", "2"],
         ["construct", "3", "9", "--line-jet", "3,1", "--bound", "1"],
+        ["construct", "2", "6", "--line-jet", "2,1", "--bound", "3"],
+        ["construct", "3", "9", "--line-jet", "3,1", "--bound", "4"],
+        ["construct", "3", "6", "--tangent", "3", "--bound", "3"],
     ],
 )
 def test_too_small_bound_is_refused_before_sampling(argv, monkeypatch, capsys):
     """n_line > 2 * bound distinct nonzero line parameters cannot exist, and
-    the constructors say so before they draw anything."""
+    n_line = 2 * bound leaves only the symmetric ones, which every draw
+    rejects; the constructors say so before they draw anything."""
     entered = []
     monkeypatch.setattr(construct, "_resample", lambda *a: entered.append(a))
     assert main(argv) == 2

@@ -21,9 +21,9 @@ and three certified power-sum constructions in P^3 recorded before their
 power sums were computed in integers and their full-rank tests took the
 modular proof, and five flattening and line-construction cases plus a P^3
 ``certify`` pair recorded before the flattening ranks took the capped probe,
-and five seeded constructions that reject draws (one of them every draw,
-so it exits 3) recorded before the sampling loops shared one resample
-routine, and four conic double points with multi-component and reduced
+and five seeded constructions that reject draws (one of them would reject
+every draw, and is now refused before sampling) recorded before the
+sampling loops shared one resample routine, and four conic double points with multi-component and reduced
 divisors, at d = 5 and 8, recorded before the conic relation moved to the
 conic's own coordinates, and two ``certify`` pairs outside the uniqueness
 regime that pass the line-intersection criterion, recorded before that
@@ -128,10 +128,11 @@ FLATTENING_LINE_COMMANDS = [
 # Seeded constructions that reject at least one draw before they succeed
 # (colliding supports in a stratum point and in gamma's Terracini draws, a
 # line-jet draw with a zero line coefficient, a singular conic frame), and
-# one that never succeeds: at --bound 3 the only 6-point z-set is
-# {-3, ..., 3} without 0, which is symmetric, so every draw is rejected and
-# the command exits 3.  Recorded before the sampling loops shared one
-# resample routine.
+# one that can never succeed: at --bound 3 the only 6-point z-set is
+# {-3, ..., 3} without 0, which is symmetric, so every draw would be
+# rejected.  Recorded before the sampling loops shared one resample
+# routine; the last one was recorded again when such a bound came to be
+# refused with exit 2 before sampling, where it had exited 3.
 RESAMPLE_COMMANDS = [
     "construct 2 9 --label 3,1 --non-collinear --bound 1 --seed 0",
     "construct 2 6 --line-jet 2,1 --bound 5 --seed 1",
