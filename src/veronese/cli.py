@@ -215,6 +215,10 @@ def _run(args: argparse.Namespace) -> tuple[dict, bool]:
         return {**base, "report": rep}, True
 
     if args.command == "construct":
+        if args.conic_b is not None and args.conic_a is None:
+            raise InputError("--conic-b needs --conic-a")
+        if args.non_collinear and args.label is None:
+            raise InputError("--non-collinear needs --label")
         if args.label:
             label = StratumLabel.make(_parse_parts(args.label))
             Z, P, cert = construct_stratum_point(

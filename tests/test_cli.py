@@ -266,6 +266,21 @@ def test_exit_2_on_conic_parts_beyond_parameter_box(capsys):
     assert code == 2 and "divisor parts" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["construct", "2", "9", "--label", "2,1,1", "--conic-b", "6"], "--conic-b needs --conic-a"),
+        (["construct", "2", "6", "--line-jet", "2,1", "--non-collinear"], "--non-collinear needs --label"),
+    ],
+)
+def test_exit_2_on_a_construct_flag_that_would_be_ignored(argv, message, capsys):
+    # a flag that the selected construction does not read is refused, not dropped
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"input error: {message}\n"
+
+
 def test_exit_2_on_terracini_scheme_beyond_degree(capsys):
     # 3000 double points in P^2 cannot fit in degree 6; refused before any
     # of them is sampled (the support check alone is quadratic in t)
