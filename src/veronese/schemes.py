@@ -493,11 +493,8 @@ def linearly_general(Z: SchemeSpec, k: int) -> bool:
     k = 3 it is the line criterion: no line meets Z in degree >= 3, since such
     a line holds a degree-3 truncation, whose span is then at most a line.
     """
-    for comp in Z.components:
-        if not isinstance(comp, (Reduced, Jet)):
-            raise UnsupportedComponentError(
-                "subscheme enumeration needs curvilinear components"
-            )
+    if not all(isinstance(comp, (Reduced, Jet)) for comp in Z.components):
+        raise UnsupportedComponentError("subscheme enumeration needs curvilinear components")
     blocks = [[list(v) for v in comp.curve] for comp in Z.components]
     caps = [len(b) for b in blocks]
     if sum(caps) < k:
