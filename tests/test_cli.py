@@ -267,18 +267,18 @@ def test_exit_2_on_conic_parts_beyond_parameter_box(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, message",
+    "argv, needs",
     [
-        (["construct", "2", "9", "--label", "2,1,1", "--conic-b", "6"], "--conic-b needs --conic-a"),
-        (["construct", "2", "6", "--line-jet", "2,1", "--non-collinear"], "--non-collinear needs --label"),
+        (["2", "9", "--label", "2,1,1", "--conic-b", "6"], "--conic-b needs --conic-a"),
+        (["2", "6", "--line-jet", "2,1", "--non-collinear"], "--non-collinear needs --label"),
     ],
 )
-def test_exit_2_on_a_construct_flag_that_would_be_ignored(argv, message, capsys):
+def test_exit_2_on_a_construct_flag_that_would_be_ignored(argv, needs, capsys):
     # a flag that the selected construction does not read is refused, not dropped
-    code = main(argv)
+    code = main(["construct", *argv])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert captured.err == f"input error: {message}\n"
+    assert captured.err == f"input error: {needs}\n"
 
 
 def test_exit_2_on_terracini_scheme_beyond_degree(capsys):

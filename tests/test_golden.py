@@ -23,12 +23,13 @@ modular proof, and five flattening and line-construction cases plus a P^3
 ``certify`` pair recorded before the flattening ranks took the capped probe,
 and five seeded constructions that reject draws (one of them would reject
 every draw, and is now refused before sampling) recorded before the
-sampling loops shared one resample routine, and four conic double points with multi-component and reduced
-divisors, at d = 5 and 8, recorded before the conic relation moved to the
-conic's own coordinates, and two ``certify`` pairs outside the uniqueness
-regime that pass the line-intersection criterion, recorded before that
-criterion became the degree-3 case of the linear-position predicate.  The
-inputs live in ``tests/golden/``.
+sampling loops shared one resample routine, and four conic double points
+with multi-component and reduced divisors, at d = 5 and 8, recorded before
+the conic relation moved to the conic's own coordinates, and two
+``certify`` pairs outside the uniqueness regime that pass the
+line-intersection criterion, recorded before that criterion became the
+degree-3 case of the linear-position predicate.  The inputs live in
+``tests/golden/``.
 
 Record the digests again, only for a change that means to alter output:
 

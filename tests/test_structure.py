@@ -62,5 +62,5 @@ def test_every_imported_name_is_used():
                 isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
             ):
                 used |= {e.value for e in node.value.elts}
-        unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+        unused += [f"{path.name}:{n} {name}" for name, n in imported.items() if name not in used]
     assert unused == []
