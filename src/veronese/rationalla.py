@@ -19,15 +19,21 @@ solutions are the same rationals that elimination over Q gives; a Fraction
 is built only for an output entry.  Pivoting is always "first nonzero entry
 in column order", which makes every result reproducible bit for bit.
 
-The modular rank probe reduces the numerators mod a prime p and packs each
-row into one integer of K-bit slots, one residue per slot, along the
+The modular rank probe reduces the numerators mod p = PROBE_PRIME and packs
+each row into one integer of K-bit slots, one residue per slot, along the
 shorter side of the matrix (the mod-p rank is transpose-invariant), so
 s = min(rows, cols) slots per row and at most s pivots.  A row update is
 then one big-integer shift and multiply-add instead of one ``% p`` per
-entry.  Slots are never reduced during elimination; each one stays below
-(s + 1) p^2 < 2^K, so no slot carries into the next (Dumas, Fousse & Salvy,
-"Simultaneous modular reduction and Kronecker substitution for small
-finite fields", 2011).
+entry (Dumas, Fousse & Salvy, "Simultaneous modular reduction and Kronecker
+substitution for small finite fields", 2011).  The pivot row is normalized
+on the whole packed integer too: p = 2^31 - 1 is a Mersenne prime, so
+2^31 = 1 (mod p) and fold(x) = (x mod 2^31) + (x >> 31) = x (mod p), done
+for every slot at once with two masks.  Two folds of a slot below 2^K leave
+at most 2^31 + 2^(K-62).  The argument needs K <= 93, and the bound below
+yields K <= 88 for every s < 2^25 - 1 (any matrix of fewer than 2^49
+entries), so fold twice, multiply by p - 1/head, fold twice more, and every
+slot of the normalized row is at most p + 2.  Slots of the other rows are never reduced during elimination; each
+stays below (s + 1) p (p + 8) < 2^K, so no slot carries into the next.
 
 All functions are pure and operate on immutable matrices.
 """
@@ -275,36 +281,57 @@ def membership_solve(
     return c
 
 
+def _fold(a: int, lo: int, hi: int) -> int:
+    """Every K-bit slot x of a reduced to (x mod 2^31) + (x >> 31), which is
+    congruent to x mod PROBE_PRIME = 2^31 - 1, in a few big-integer steps.
+
+    ``lo`` holds the low 31 bits of every slot and ``hi`` the low K - 31
+    bits: ``a >> 31`` brings each slot's high bits down to its own bottom,
+    and ``hi`` cuts off the low bits of the slot above.  A slot below 2^K
+    comes out at most 2^31 + 2^(K-31) - 2, so no slot carries when K > 32;
+    two folds leave it at most 2^31 + 2^(K-62) when K >= 62.
+    """
+    return (a & lo) + ((a >> 31) & hi)
+
+
 def modular_rank_probe(M: QMatrix) -> int:
     """Rank of the numerator rows of M reduced mod PROBE_PRIME; always <=
     rank_exact(M), since scaling rows does not change the rank.
 
     A fast randomized pre-filter: no denominator is ever inverted, and each
-    row mod the prime is one integer of K-bit slots, so a row update is one
-    big-integer shift and multiply-add.  The matrix is packed along its
-    shorter side (the mod-p rank of the numerators is transpose-invariant):
-    with s = min(rows, cols) slots per row, at most s pivots update a row.
-    The current column is always slot 0, read as ``(a & mask) % prime``;
-    eliminating it drops that slot and adds f * N, where f < prime and N
-    packs the pivot row normalized and negated mod prime.  A slot thus stays
-    below prime + s * (prime - 1)^2 < (s + 1) * prime^2 < 2^K and never
-    carries into the next one.
+    row mod p = PROBE_PRIME is one integer of K-bit slots, so a row update
+    is one big-integer shift and multiply-add.  The matrix is packed along
+    its shorter side (the mod-p rank of the numerators is transpose-
+    invariant): with s = min(rows, cols) slots per row, at most s pivots
+    update a row.  The current column is always slot 0, read as
+    ``(a & mask) % p``; eliminating it drops that slot and adds f * N, where
+    f < p and N packs the pivot row normalized and negated mod p.
+
+    N is built on the whole packed tail at once: since 2^31 = 1 (mod p),
+    ``_fold`` reduces every slot towards p, and
+    N = fold(fold(fold(fold(tail)) * (p - 1/head))).  For 64 <= K <= 93,
+    two folds take a tail slot below 2^K to at most 2^31 + 2^(K-62) <=
+    2^32, the product with p - 1/head stays below 2^63 < 2^K, and two more
+    folds leave each slot of N at most p + 2.  A slot of a row thus stays
+    below p + s * (p - 1) * (p + 2) < (s + 1) * p * (p + 8) < 2^K and never
+    carries into the next one.  The K this bound yields is 72 to 88 for
+    every s < 2^25 - 1; it reaches 96 only for a matrix of at least
+    (2^25 - 1)^2 > 2^49 entries.
     """
     prime = PROBE_PRIME
     nums = M.nums if M.rows >= M.cols else list(zip(*M.nums))
     width = min(M.rows, M.cols)
-    # K = 8 * ceil((bitlen((s + 1) * prime^2) + 1) / 8): whole bytes, so a
-    # row packs and unpacks through int.to_bytes / int.from_bytes.
-    nbytes = ((width + 1) * prime * prime).bit_length() // 8 + 1
+    # K = 8 * ceil((bitlen((s + 1) * p * (p + 8)) + 1) / 8): whole bytes, so a
+    # row packs through int.to_bytes and the slot masks repeat one byte pattern.
+    nbytes = ((width + 1) * prime * (prime + 8)).bit_length() // 8 + 1
     K = 8 * nbytes
     mask = (1 << K) - 1
-
-    def pack(values) -> int:
-        return int.from_bytes(
-            b"".join([(x % prime).to_bytes(nbytes, "little") for x in values]), "little"
-        )
-
-    rows = [pack(r) for r in nums]
+    lo = int.from_bytes(prime.to_bytes(nbytes, "little") * width, "little")
+    hi = int.from_bytes(((1 << (K - 31)) - 1).to_bytes(nbytes, "little") * width, "little")
+    rows = [
+        int.from_bytes(b"".join([(x % prime).to_bytes(nbytes, "little") for x in r]), "little")
+        for r in nums
+    ]
     r = 0
     for c in range(width):
         heads = [(a & mask) % prime for a in rows]
@@ -312,12 +339,8 @@ def modular_rank_probe(M: QMatrix) -> int:
         if piv is None:
             rows = [a >> K for a in rows]
             continue
-        tail = (rows.pop(piv) >> K).to_bytes((width - c - 1) * nbytes, "little")
-        scale = -pow(heads.pop(piv), -1, prime)
-        N = pack(
-            int.from_bytes(tail[j : j + nbytes], "little") * scale
-            for j in range(0, len(tail), nbytes)
-        )
+        tail = _fold(_fold(rows.pop(piv) >> K, lo, hi), lo, hi)
+        N = _fold(_fold(tail * (prime - pow(heads.pop(piv), -1, prime)), lo, hi), lo, hi)
         rows = [(a >> K) + f * N if f else a >> K for a, f in zip(rows, heads)]
         r += 1
         if not rows:

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from oracles import naive_kernel, naive_membership, naive_modular_rank, naive_rank, naive_rref
 from veronese.errors import InputError
+from veronese.rationalla import PROBE_PRIME as PRIME
 from veronese.rationalla import (
     QMatrix,
+    _fold,
     _rref,
     kernel_basis,
     membership_solve,
@@ -17,7 +19,6 @@ from veronese.rationalla import (
     rank_with_fastpath,
 )
 
-PRIME = (1 << 31) - 1
 # composite, negative and prime-divisible row denominators for from_ints
 DENOMINATORS = (1, 12, 36, -6, -35, PRIME, -PRIME, 2 * PRIME)
 
@@ -254,6 +255,31 @@ def test_modular_probe_matches_exact_rank():
         assert probed == exact  # failure probability ~ 10/PRIME per instance
 
 
+def test_probe_prime_is_mersenne():
+    # _fold reduces a slot mod PRIME by 2^31 = 1, so PRIME + 1 is that power of two
+    assert PRIME + 1 == 1 << PRIME.bit_length() == 1 << 31
+
+
+@pytest.mark.parametrize("width", [1, 510, 511, 512, 10000])
+def test_fold_at_slot_extremes(width):
+    """Two folds keep every K-bit slot congruent mod PRIME, carry nothing
+    into the next slot and leave it below 2^31 + 2^(K-62) + 1, for slots
+    0, PRIME, 2^31 and 2^K - 1 at the K the probe takes for this width."""
+    nbytes = ((width + 1) * PRIME * (PRIME + 8)).bit_length() // 8 + 1
+    K = 8 * nbytes
+    repunit = ((1 << (K * width)) - 1) // ((1 << K) - 1)  # 1 in every slot
+    lo, hi = PRIME * repunit, ((1 << (K - 31)) - 1) * repunit
+    extremes = (0, PRIME, 1 << 31, (1 << K) - 1)
+    for slots in [[x] * width for x in extremes] + [
+        [extremes[j % 4] for j in range(width)]
+    ]:
+        a = int.from_bytes(b"".join(x.to_bytes(nbytes, "little") for x in slots), "little")
+        folded = _fold(_fold(a, lo, hi), lo, hi).to_bytes(K * width // 8, "little")
+        for j, x in enumerate(slots):
+            y = int.from_bytes(folded[j * nbytes : (j + 1) * nbytes], "little")
+            assert y % PRIME == x % PRIME and y < (1 << 31) + (1 << (K - 62)) + 1
+
+
 def _int_product(rng, n, m, r, lo, hi):
     """An n x m integer product A.B of rank at most r, factors in [lo, hi]."""
     A = [[rng.randint(lo, hi) for _ in range(r)] for _ in range(n)]
@@ -266,6 +292,11 @@ def _int_product(rng, n, m, r, lo, hi):
 # can hold.
 EXTRA_SLOT_BITS = QMatrix.from_ints(
     60, _int_product(random.Random(8), 60, 60, 30, 0, PRIME - 1), [1] * 60
+)
+# every residue PRIME - 1 (entries -1, PRIME - 1 and 2 * PRIME - 1): the pivot
+# head, every row factor and every slot of the normalized row sit at their top
+ALL_TOP_RESIDUES = QMatrix.from_ints(
+    40, [[PRIME * ((i * j) % 3) - 1 for j in range(40)] for i in range(40)], [1] * 40
 )
 
 
@@ -305,6 +336,7 @@ def probe_matrices(draw):
 )
 @given(probe_matrices())
 @example(EXTRA_SLOT_BITS)
+@example(ALL_TOP_RESIDUES)
 def test_modular_probe_equals_list_oracle(M):
     """The packed probe is the rank of the numerators mod PRIME, the same
     for M and its transpose, whichever side it packs along."""
