@@ -43,6 +43,7 @@ from veronese.forms import (
     power_sum,
     product_expand,
 )
+from veronese.rationalla import PROBE_PRIME as PRIME
 from veronese.rationalla import QMatrix, membership_solve, rank_exact
 from veronese.schemes import (
     Jet,
@@ -471,7 +472,6 @@ def test_exclusion_reader_matches_brute_force(case):
     assert claim.passed == (dropped is None)
 
 
-PRIME = (1 << 31) - 1
 rationals = st.integers(-9, 9) | st.fractions(-9, 9, max_denominator=12)
 
 

@@ -22,6 +22,7 @@ from veronese.forms import (
     power_expand,
     product_expand,
 )
+from veronese.rationalla import PROBE_PRIME as P31
 from veronese.rationalla import QMatrix, modular_rank_probe, rank_exact, rank_with_fastpath
 from veronese.schemes import (
     FatPoint,
@@ -226,7 +227,6 @@ def test_two_three_rows_match_oracle(case, d):
     assert M.to_rows() == two_three_rows_oracle(q, v, m, d)
 
 
-P31 = (1 << 31) - 1  # the probe's prime
 # coordinates with a denominator divisible by the probe's prime (which the
 # probe never sees) or a numerator that vanishes modulo it
 probe_coordinates = coordinates | st.sampled_from([P31, -2 * P31, F(1, P31), F(-3, 2 * P31)])
