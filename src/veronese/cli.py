@@ -148,7 +148,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--non-collinear",
         action="store_true",
-        help="put degree-3 components on smooth conics",
+        help="put degree-3 components on smooth conics (the label needs a part 3)",
     )
     _add_common(p)
 
@@ -221,6 +221,8 @@ def _run(args: argparse.Namespace) -> tuple[dict, bool]:
             raise InputError("--non-collinear needs --label")
         if args.label:
             label = StratumLabel.make(_parse_parts(args.label))
+            if args.non_collinear and 3 not in label.parts:
+                raise InputError("--non-collinear needs a part 3 in --label")
             Z, P, cert = construct_stratum_point(
                 args.m,
                 args.d,

@@ -271,6 +271,10 @@ def test_exit_2_on_conic_parts_beyond_parameter_box(capsys):
     [
         (["2", "9", "--label", "2,1,1", "--conic-b", "6"], "--conic-b needs --conic-a"),
         (["2", "6", "--line-jet", "2,1", "--non-collinear"], "--non-collinear needs --label"),
+        (
+            ["2", "9", "--label", "2,1,1", "--non-collinear"],
+            "--non-collinear needs a part 3 in --label",
+        ),
     ],
 )
 def test_exit_2_on_a_construct_flag_that_would_be_ignored(argv, needs, capsys):
