@@ -32,8 +32,9 @@ for every slot at once with two masks.  Two folds of a slot below 2^K leave
 at most 2^31 + 2^(K-62).  The argument needs K <= 93, and the bound below
 yields K <= 88 for every s < 2^25 - 1 (any matrix of fewer than 2^49
 entries), so fold twice, multiply by p - 1/head, fold twice more, and every
-slot of the normalized row is at most p + 2.  Slots of the other rows are never reduced during elimination; each
-stays below (s + 1) p (p + 8) < 2^K, so no slot carries into the next.
+slot of the normalized row is at most p + 2.  Slots of the other rows are
+never reduced during elimination; each stays below (s + 1) p (p + 8) < 2^K,
+so no slot carries into the next.
 
 All functions are pure and operate on immutable matrices.
 """

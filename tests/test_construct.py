@@ -43,8 +43,7 @@ from veronese.forms import (
     power_sum,
     product_expand,
 )
-from veronese.rationalla import PROBE_PRIME as PRIME
-from veronese.rationalla import QMatrix, membership_solve, rank_exact
+from veronese.rationalla import PROBE_PRIME as PRIME, QMatrix, membership_solve, rank_exact
 from veronese.schemes import (
     Jet,
     Reduced,

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from oracles import naive_kernel, naive_membership, naive_modular_rank, naive_rank, naive_rref
 from veronese.errors import InputError
-from veronese.rationalla import PROBE_PRIME as PRIME
 from veronese.rationalla import (
+    PROBE_PRIME as PRIME,
     QMatrix,
     _fold,
     _rref,
@@ -256,7 +256,7 @@ def test_modular_probe_matches_exact_rank():
 
 
 def test_probe_prime_is_mersenne():
-    # _fold reduces a slot mod PRIME by 2^31 = 1, so PRIME + 1 is that power of two
+    # _fold shifts by 31 bits and relies on 2^31 = 1 (mod PRIME)
     assert PRIME + 1 == 1 << PRIME.bit_length() == 1 << 31
 
 
@@ -270,9 +270,7 @@ def test_fold_at_slot_extremes(width):
     repunit = ((1 << (K * width)) - 1) // ((1 << K) - 1)  # 1 in every slot
     lo, hi = PRIME * repunit, ((1 << (K - 31)) - 1) * repunit
     extremes = (0, PRIME, 1 << 31, (1 << K) - 1)
-    for slots in [[x] * width for x in extremes] + [
-        [extremes[j % 4] for j in range(width)]
-    ]:
+    for slots in [[x] * width for x in extremes] + [[extremes[j % 4] for j in range(width)]]:
         a = int.from_bytes(b"".join(x.to_bytes(nbytes, "little") for x in slots), "little")
         folded = _fold(_fold(a, lo, hi), lo, hi).to_bytes(K * width // 8, "little")
         for j, x in enumerate(slots):

@@ -22,8 +22,13 @@ from veronese.forms import (
     power_expand,
     product_expand,
 )
-from veronese.rationalla import PROBE_PRIME as P31
-from veronese.rationalla import QMatrix, modular_rank_probe, rank_exact, rank_with_fastpath
+from veronese.rationalla import (
+    PROBE_PRIME as P31,
+    QMatrix,
+    modular_rank_probe,
+    rank_exact,
+    rank_with_fastpath,
+)
 from veronese.schemes import (
     FatPoint,
     Hyperplane,
