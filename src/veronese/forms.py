@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm
-from operator import add
+from math import comb, factorial, lcm, prod
+from operator import add, mul
 from typing import Dict, Iterable, Sequence, Tuple
 
 from .errors import InputError
@@ -350,31 +350,45 @@ class DecompositionRecord:
         return len(self.summands)
 
 
+@lru_cache(maxsize=None)
+def _factorial_weights(m: int, d: int) -> tuple[int, ...]:
+    """prod_i alpha_i! for alpha in monomial_basis(m, d)."""
+    fact = [factorial(k) for k in range(d + 1)]
+    return tuple(prod(fact[x] for x in alpha) for alpha in monomial_basis(m, d))
+
+
+@lru_cache(maxsize=None)
+def _contraction_plan(
+    m: int, d: int, a: int
+) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """The (indices, factors) pair of each row of ``_contraction_rows``."""
+    index = monomial_index(m, d)
+    weights = _factorial_weights(m, d)
+    cols = tuple(zip(monomial_basis(m, d - a), _factorial_weights(m, d - a)))
+    plan = []
+    for gamma in monomial_basis(m, a):
+        idx = tuple(index[tuple(map(add, gamma, beta))] for beta, _ in cols)
+        plan.append((idx, tuple(weights[i] // wb for i, (_, wb) in zip(idx, cols))))
+    return tuple(plan)
+
+
 def _contraction_rows(F: Form, a: int) -> QMatrix:
     """Rows d^gamma F for gamma in the degree-a basis (0 <= a <= d), over
-    the degree-(d-a) basis, read off F's coefficients by direct indexing:
-    entry (gamma, beta) = f[gamma+beta] * prod_i (gamma_i+beta_i)! / beta_i!.
+    the degree-(d-a) basis: entry (gamma, beta) = f[gamma+beta] *
+    (gamma+beta)!/beta!, with alpha! = prod_i alpha_i!.
+
+    The plan, cached per (m, d, a), holds for each gamma the indices of
+    gamma+beta in the degree-d basis and the integer factors
+    (gamma+beta)!/beta!, each one floor division of two cached factorial
+    weights; it is exact because beta <= gamma+beta coordinatewise, so
+    every beta_i! divides (gamma_i+beta_i)!.  F's coefficients are cleared
+    to integer numerators over one denominator D once, and a row is its
+    gathered numerators times its factors, over D.
     """
-    m, d = F.m, F.d
     (nums,), D = _clear_denominators([F.coeffs])
-    fact = [factorial(k) for k in range(d + 1)]
-
-    def weight(alpha: MultiIndex) -> int:
-        w = 1
-        for x in alpha:
-            w *= fact[x]
-        return w
-
-    # f[alpha] * prod_i alpha_i! on numerators; dividing by prod_i beta_i!
-    # is exact because beta <= alpha coordinatewise.
-    weighted = [n * weight(alpha) for n, alpha in zip(nums, monomial_basis(m, d))]
-    index = monomial_index(m, d)
-    cols = [(beta, weight(beta)) for beta in monomial_basis(m, d - a)]
-    rows = [
-        [weighted[index[tuple(map(add, gamma, beta))]] // wb for beta, wb in cols]
-        for gamma in monomial_basis(m, a)
-    ]
-    return QMatrix.from_ints(len(cols), rows, [D] * len(rows))
+    plan = _contraction_plan(F.m, F.d, a)
+    rows = [list(map(mul, map(nums.__getitem__, idx), factors)) for idx, factors in plan]
+    return QMatrix.from_ints(comb(F.m + F.d - a, F.m), rows, [D] * len(rows))
 
 
 def catalecticant_matrix(F: Form, a: int) -> QMatrix:

@@ -161,6 +161,22 @@ def test_catalecticant_against_naive_diff_oracle(m, d, data):
     assert _contraction_rows(F, d).to_rows() == catalecticant_oracle(F.terms(), m, d, d)
 
 
+@pytest.mark.parametrize(
+    "m, d, orders",
+    [(3, 9, range(1, 5)), (3, 10, range(1, 6))]
+    + [(1, d, range(1, d + 1)) for d in range(1, 13)],
+)
+def test_catalecticant_against_oracle_at_workload_sizes(m, d, orders):
+    """The flattening range at the scale-up sizes (m = 3, d = 9, 10), and
+    every a up to a = d for binary forms, whose a = d rows have one column."""
+    rng = random.Random(1000 * m + d)
+    F = Form.from_coeffs(
+        m, d, [Fraction(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(comb(m + d, m))]
+    )
+    for a in orders:
+        assert _contraction_rows(F, a).to_rows() == catalecticant_oracle(F.terms(), m, d, a)
+
+
 def test_catalecticant_pure_power_rank_one():
     for a in range(1, 6):
         F = power_expand(LinearForm.make([2, 3, 5]), 6)
