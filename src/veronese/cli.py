@@ -183,13 +183,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_parts(text: str) -> list[int]:
+    """Integers separated by commas, spaces around each allowed; an empty
+    item (as in "2,,1" or "2,1,") is refused, not dropped."""
+    if text.strip() == "":
+        raise InputError("empty partition")
     try:
-        parts = [int(x) for x in text.split(",") if x.strip() != ""]
+        return [int(x) for x in text.split(",")]
     except ValueError:
         raise InputError(f"not a comma-separated integer list: {text!r}")
-    if not parts:
-        raise InputError("empty partition")
-    return parts
 
 
 def _read(path: str) -> str:
@@ -221,8 +222,6 @@ def _run(args: argparse.Namespace) -> tuple[dict, bool]:
             raise InputError("--non-collinear needs --label")
         if args.label:
             label = StratumLabel.make(_parse_parts(args.label))
-            if args.non_collinear and 3 not in label.parts:
-                raise InputError("--non-collinear needs a part 3 in --label")
             Z, P, cert = construct_stratum_point(
                 args.m,
                 args.d,

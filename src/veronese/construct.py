@@ -439,6 +439,9 @@ def construct_stratum_point(
     when twice the degree is at most d+1, otherwise the certificate is
     membership-only.
     """
+    # first, so that the CLI refuses such a flag before any other input check
+    if non_collinear and 3 not in label.parts:
+        raise InputError("--non-collinear needs a part 3 in --label")
     if m < 2 or d < 3:
         raise InputError("construct_stratum_point needs m >= 2, d >= 3")
     t = label.t

@@ -285,6 +285,29 @@ def test_exit_2_on_a_construct_flag_that_would_be_ignored(argv, needs, capsys):
     assert captured.err == f"input error: {needs}\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["2", "9", "--label", "2,,1"],
+        ["2", "9", "--label", "2,1,"],
+        ["2", "9", "--label", ",2,1"],
+        ["2", "6", "--line-jet", "2,,1"],
+        ["2", "5", "--conic-a", "6,", "--conic-b", "6"],
+    ],
+)
+def test_exit_2_on_an_empty_list_item(argv, capsys):
+    # an empty item is refused, not dropped from the list
+    code = main(["construct", *argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"input error: not a comma-separated integer list: {argv[3]!r}\n"
+
+
+def test_list_items_may_have_spaces(capsys):
+    code, out = run_cli(capsys, "construct", "2", "9", "--label", " 2, 1 ,1 ", "--seed", "5")
+    assert code == 0 and json.loads(out)["label"] == [2, 1, 1]
+
+
 def test_exit_2_on_terracini_scheme_beyond_degree(capsys):
     # 3000 double points in P^2 cannot fit in degree 6; refused before any
     # of them is sampled (the support check alone is quadratic in t)

@@ -533,6 +533,16 @@ def test_construct_stratum_point_examples():
     assert any("symmetric rank = 3" in c.statement for c in cert.claims)
 
 
+def test_construct_stratum_point_refuses_non_collinear_without_a_part_3():
+    # only degree-3 components move to conics, so the flag would claim h1 of
+    # a dominating scheme it never built
+    with pytest.raises(InputError, match="needs a part 3"):
+        construct_stratum_point(2, 9, StratumLabel.make([2, 1, 1]), seed=0, non_collinear=True)
+    # refused before the other input checks (here m < 2)
+    with pytest.raises(InputError, match="needs a part 3"):
+        construct_stratum_point(1, 9, StratumLabel.make([2, 1]), seed=0, non_collinear=True)
+
+
 def test_construct_stratum_point_downgrades_outside_regime():
     Z, P, cert = construct_stratum_point(2, 5, StratumLabel.make([4]), seed=0)
     assert cert.all_passed
