@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from math import comb
 from typing import Optional, Sequence
 
 from .errors import InputError, InternalInconsistency
@@ -23,6 +23,7 @@ from .forms import (
     Form,
     LinearForm,
     Summand,
+    _clear_denominators,
     _contraction_rows,
     catalecticant_matrix,
     power_rows,
@@ -120,10 +121,7 @@ def _rational_roots(p: list[Fraction]) -> Optional[list[Fraction]]:
     while p[0] == 0 and len(p) > 1:
         roots.append(Fraction(0))
         p = p[1:]
-    denom = 1
-    for c in p:
-        denom = denom * c.denominator // gcd(denom, c.denominator)
-    ip = [int(c * denom) for c in p]
+    (ip,), _ = _clear_denominators([p])
     while len(ip) > 1:
         a0, an = ip[0], ip[-1]
         if a0 == 0:
@@ -174,10 +172,8 @@ def _int_poly_deflate(p: list[int], root: Fraction) -> list[int]:
     quot, rem = _poly_divmod(frac, [-root, Fraction(1)])
     if rem:
         raise InternalInconsistency(f"{root} is not a root of the polynomial")
-    denom = 1
-    for c in quot:
-        denom = denom * c.denominator // gcd(denom, c.denominator)
-    return [int(c * denom) for c in quot]
+    (ip,), _ = _clear_denominators([quot])
+    return ip
 
 
 def _binary_projective_roots(h: Form) -> Optional[list[tuple[Fraction, Fraction]]]:

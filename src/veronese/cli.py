@@ -46,21 +46,20 @@ from .schemes import (
 from .strata import StratumLabel, stratification_report
 
 
-def parse_scheme(text: str) -> SchemeSpec:
-    """Validated SchemeSpec from JSON text (diagnostics name the component)."""
+def _load_json(text: str):
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as e:
         raise InputError(f"malformed JSON at line {e.lineno} column {e.colno}: {e.msg}")
-    return scheme_from_json(obj)
+
+
+def parse_scheme(text: str) -> SchemeSpec:
+    """Validated SchemeSpec from JSON text (diagnostics name the component)."""
+    return scheme_from_json(_load_json(text))
 
 
 def parse_form(text: str):
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise InputError(f"malformed JSON at line {e.lineno} column {e.colno}: {e.msg}")
-    return form_from_json(obj)
+    return form_from_json(_load_json(text))
 
 
 def _scalar_list(v) -> bool:

@@ -46,6 +46,7 @@ from .forms import (
     Summand,
     catalecticant_matrix,
     form_to_json,
+    monomial_basis,
     power_rows,
     power_sum,
     product_expand,
@@ -544,6 +545,7 @@ def construct_line_jet(
         raise InputError("extra point count s1 must satisfy 0 <= s1 <= d/2")
     n_line = d + 2 - t1
     _check_line_count(n_line, bound)
+    monomial_basis(m, d)  # refuses a degree past MAX_MONOMIALS before sampling
     rng = random.Random(seed)
     t = t1 + s1
     r_val = d + 2 + s1 - t1
@@ -636,6 +638,7 @@ def construct_tangent_plus_points(
     if d < 5 or not (3 <= t <= d):
         raise InputError("need d >= 5 and 3 <= t <= d")
     _check_line_count(d, bound)  # the d line points of the relation
+    monomial_basis(m, d)  # refuses a degree past MAX_MONOMIALS before sampling
     rng = random.Random(seed)
     r_val = d + t - 2
 
@@ -749,8 +752,9 @@ def construct_conic_double(
             f"{len(a_parts) + len(b_parts)} divisor parts need distinct conic "
             f"parameters, but [-{bound}, {bound}] has only {2 * bound + 1}"
         )
-    rng = random.Random(seed)
     m = 2
+    monomial_basis(m, d)  # refuses a degree past MAX_MONOMIALS before sampling
+    rng = random.Random(seed)
 
     def draw():
         cols = [

@@ -107,6 +107,8 @@ class Form:
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self):
+        if self.m < 0 or self.d < 0:
+            raise InputError(f"form needs m >= 0 and d >= 0, got m = {self.m}, d = {self.d}")
         if len(self.coeffs) != comb(self.m + self.d, self.m):
             raise InputError(
                 f"form needs C({self.m}+{self.d},{self.m}) coefficients, "
@@ -203,55 +205,62 @@ def _power_table(p: Sequence[int], e: int) -> list[int]:
     return [acc * v for acc, k in level for v in tails[k]]
 
 
-def _monomial_series(series: Sequence[Sequence[int]], d: int, cap: int) -> list[list[int]]:
-    """[t^j] prod_i s_i(t)^beta_i for j < cap, one list per beta in
-    monomial_basis(m, d), from integer series s_0..s_m.
+def _jet_rows(curve: Sequence[Sequence[Fraction]], d: int) -> tuple[list[list[int]], int]:
+    """Integer numerators and common denominator D^d of the rows
 
-    With cap = 1 (reduced points) these are the values prod_i s_i(0)^beta_i,
-    read off ``_power_table``.  Otherwise each s_i^e (e <= d, truncated) is
-    tabulated once; the basis is walked coordinate by coordinate in its own
+        entry (j, beta) = [t^j] prod_i c_i(t)^beta_i,  j < len(curve),
+
+    over the degree-d basis, c_i(t) = sum_s curve[s][i] t^s, from the
+    numerator series D c_i(t) over one common denominator D.
+
+    A length-1 curve (a reduced point) is one ``_power_table``.  Otherwise
+    each series power (D c_i)^e, e <= d, is tabulated once, truncated below
+    t^len(curve); the basis is walked coordinate by coordinate in its own
     order, so a column costs one truncated product per coordinate and
     columns with a common prefix of exponents share those products.
     """
+    nums, D = _clear_denominators(curve)
+    cap = len(nums)
     if cap == 1:
-        return [[v] for v in _power_table([s[0] for s in series], d)]
-    m = len(series) - 1
+        return [_power_table(nums[0], d)], D**d
+    m = len(nums[0]) - 1
     tables = []
-    for s in series:
+    for i in range(m + 1):
+        series = [v[i] for v in nums]
         tab = [[1] + [0] * (cap - 1)]
         for _ in range(d):
-            tab.append(_tmul(tab[-1], s, cap))
+            tab.append(_tmul(tab[-1], series, cap))
         tables.append(tab)
-    out: list[list[int]] = []
+    cols: list[list[int]] = []
 
     def walk(i: int, deg: int, acc: list[int]) -> None:
         if i == m:
-            out.append(_tmul(acc, tables[m][deg], cap))
+            cols.append(_tmul(acc, tables[m][deg], cap))
             return
         for e in range(deg, -1, -1):
             walk(i + 1, deg - e, _tmul(acc, tables[i][e], cap))
 
     walk(0, d, tables[0][0])  # s^0 = 1
-    return out
+    return [list(row) for row in zip(*cols)], D**d
 
 
-def _power_numerators(coeffs: Sequence[Fraction], d: int) -> tuple[list[int], int]:
-    """L^d for L = sum_i coeffs[i] x_i, as integer numerators over D^d.
-
-    Numerator of x^alpha: multinomial(d, alpha) * prod_i n_i^alpha_i, the
-    cached multinomials times the power table of the numerators
-    n_i = coeffs[i] * D over one common denominator D.
-    """
-    (nums,), D = _clear_denominators([coeffs])
-    multinomials = _multinomials(len(coeffs) - 1, d)
-    return [c * v for c, v in zip(multinomials, _power_table(nums, d))], D**d
+def _span_rows(curve: Sequence[Sequence[Fraction]], d: int) -> tuple[list[list[int]], int]:
+    """Integer numerators and common denominator of the span rows
+    [t^j] (c(t).x)^d of a curve germ: the jet rows with column beta scaled
+    by multinomial(d, beta), so both have the same rank.  A length-1 curve
+    L gives the one row L^d.  The multinomials come first, so a degree past
+    MAX_MONOMIALS is refused before any row is built."""
+    multinomials = _multinomials(len(curve[0]) - 1, d)
+    rows, den = _jet_rows(curve, d)
+    return [list(map(mul, multinomials, row)) for row in rows], den
 
 
 def power_expand(L: LinearForm, d: int) -> Form:
     """L^d by multinomial expansion; the degree-d embedding of the point L."""
     if d < 1:
         raise InputError("power_expand needs d >= 1")
-    return Form.from_ints(L.m, d, *_power_numerators(L.coeffs, d))
+    (row,), den = _span_rows((L.coeffs,), d)
+    return Form.from_ints(L.m, d, row, den)
 
 
 def power_sum(
@@ -265,8 +274,8 @@ def power_sum(
 
 def power_rows(m: int, d: int, points: Sequence[Sequence[Fraction]]) -> QMatrix:
     """One row L^d per point, L = point . x, each over its own denominator."""
-    rows = [_power_numerators(p, d) for p in points]
-    return QMatrix.from_ints(comb(m + d, m), [n for n, _ in rows], [D for _, D in rows])
+    rows = [_span_rows((p,), d) for p in points]
+    return QMatrix.from_ints(comb(m + d, m), [n for (n,), _ in rows], [D for _, D in rows])
 
 
 def _mul_dicts(a: Dict[MultiIndex, int], b: Dict[MultiIndex, int]) -> Dict[MultiIndex, int]:

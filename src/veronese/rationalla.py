@@ -10,7 +10,7 @@ by dens_i scales the unknown c'_i, and scaling the unknowns keeps the pivot
 columns of the reduced row echelon form, so the coefficients are the same
 rationals, zero off the pivots.  Rank is computed by fraction-free (Bareiss)
 elimination.  Kernels and membership solving use fraction-free Gauss-Jordan
-elimination (Nakos, Turner & Williams 1997), the Bareiss update applied to
+elimination (Nakos, Turner & Williams 1997), the same update loop applied to
 the rows above the pivot as well: every entry stays a minor of the input, so
 each division by the previous pivot is exact, and at the end every pivot
 entry equals the last pivot, so the reduced row echelon form is each row
@@ -161,44 +161,16 @@ def _primitive(row: Sequence[int]) -> Sequence[int]:
     return [x // g for x in row] if g > 1 else row
 
 
-def rank_exact(M: QMatrix) -> int:
-    """Rank over the rationals via fraction-free Bareiss elimination.
+def _eliminate(rows: list[list[int]], jordan: bool) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free elimination in place; returns (rows, pivot columns).
 
-    Deterministic: the numerator rows are divided by their gcds and the
-    pivot is always the first nonzero entry below the current row.
-    """
-    rows = [_primitive(r) for r in M.nums]
-    nrows, ncols = M.rows, M.cols
-    r = 0
-    prev = 1
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if rows[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            rows[r], rows[piv] = rows[piv], rows[r]
-        p = rows[r][c]
-        for i in range(r + 1, nrows):
-            f = rows[i][c]
-            ri, rr = rows[i], rows[r]
-            # Bareiss update: division by the previous pivot is exact.
-            rows[i] = [(p * ri[j] - f * rr[j]) // prev for j in range(ncols)]
-        prev = p
-        r += 1
-        if r == nrows:
-            break
-    return r
-
-
-def _rref(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free Gauss-Jordan in place; returns (rows, pivot columns).
-
-    Entry (r, c) of the reduced row echelon form is
-    rows[r][c] / rows[r][pivots[r]].
+    The one pivot search and update of the package: the pivot is the first
+    nonzero entry in its column at or below the current row, and each row
+    it updates becomes (p * row - f * pivot row) // prev, exact because
+    every entry stays a minor of the input.  Bareiss (``jordan`` false)
+    updates the rows below the pivot, which is all the rank needs.
+    Gauss-Jordan (``jordan`` true) updates every other row, so entry (r, c)
+    of the reduced row echelon form is rows[r][c] / rows[r][pivots[r]].
     """
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
@@ -206,17 +178,13 @@ def _rref(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
     r = 0
     prev = 1
     for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if rows[i][c] != 0:
-                piv = i
-                break
+        piv = next((i for i in range(r, nrows) if rows[i][c]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         rr = rows[r]
         p = rr[c]
-        for i in range(nrows):
+        for i in range(nrows) if jordan else range(r + 1, nrows):
             if i == r:
                 continue
             f = rows[i][c]
@@ -234,13 +202,22 @@ def _rref(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
     return rows, pivots
 
 
+def rank_exact(M: QMatrix) -> int:
+    """Rank over the rationals via fraction-free Bareiss elimination.
+
+    Deterministic: the numerator rows are divided by their gcds and the
+    pivot is always the first nonzero entry below the current row.
+    """
+    return len(_eliminate([_primitive(r) for r in M.nums], False)[1])
+
+
 def kernel_basis(M: QMatrix) -> list[list[Fraction]]:
     """Basis of the right kernel {v : Mv = 0}; size = cols - rank_exact(M).
 
     Basis vectors are indexed by the free columns in ascending order, each
     with a 1 in its free coordinate.
     """
-    rows, pivots = _rref([_primitive(r) for r in M.nums])
+    rows, pivots = _eliminate([_primitive(r) for r in M.nums], True)
     pivot_set = set(pivots)
     free = [c for c in range(M.cols) if c not in pivot_set]
     basis = []
@@ -273,7 +250,7 @@ def membership_solve(
         _primitive(list(col) + [x.numerator * (D // x.denominator)])
         for col, x in zip(zip(*M.nums), v)
     ]
-    rows, pivots = _rref(aug)
+    rows, pivots = _eliminate(aug, True)
     if M.rows in pivots:
         return None
     c = [Fraction(0)] * M.rows

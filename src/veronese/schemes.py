@@ -19,10 +19,11 @@ degree-d image of a length-k jet are the t^0..t^(k-1) coefficients of
 evaluation, jet coefficient extraction, and the derivatives at fat points
 and (2,3)-points), and h1 = degree - rank measures the failure to impose
 independent conditions.  Point values come from one integer power table
-p^alpha per point and degree; a derivative row gathers its entries from
-that table through a plan cached per (m, d, gamma), and a (2,3)-point row
-is a sum of whole scaled derivative rows.  A scheme of degree above
-``forms.MAX_MONOMIALS`` is refused, as a degree with more monomials is.
+p^alpha per point and degree; a derivative row scatters that table, times
+the factors of ``forms._contraction_plan``, into its columns, and a
+(2,3)-point row is a sum of whole scaled derivative rows.  A scheme of
+degree above ``forms.MAX_MONOMIALS`` is refused, as a degree with more
+monomials is.
 The rank is proved by a rank probe modulo a prime when the probe is full,
 and by Bareiss elimination otherwise.
 """
@@ -34,19 +35,18 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import comb, factorial, prod
-from operator import add, mul, sub
+from math import comb, prod
+from operator import add, mul
 from typing import List, Sequence, Tuple, Union
 
 from .errors import InputError, UnsupportedComponentError
 from .forms import (
     MAX_MONOMIALS,
-    MultiIndex,
     _clear_denominators,
-    _monomial_series,
-    _multinomials,
+    _contraction_plan,
+    _jet_rows,
     _power_table,
+    _span_rows,
     _tmul,
     monomial_basis,
     monomial_index,
@@ -221,29 +221,12 @@ def scheme_degree(Z: SchemeSpec) -> int:
 # matrix builders: integer power tables, one division per entry
 
 
-def _jet_block(m: int, curve: Sequence[Vector], d: int) -> tuple[list[list[int]], int]:
-    """Integer numerators and common denominator D^d of the jet's conditions
-    rows over the degree-d basis, j < len(curve):
-
-        entry (j, beta) = [t^j] prod_i c_i(t)^beta_i,
-
-    c_i(t) = sum_s curve[s][i] t^s, computed from per-coordinate tables of
-    the numerator series D c_i(t).  Scaling column beta by multinomial(d,
-    beta) turns them into the span rows [t^j] (c(t).x)^d, so both matrices
-    have the same rank.
-    """
-    nums, D = _clear_denominators(curve)
-    series = [[v[i] for v in nums] for i in range(m + 1)]
-    cols = _monomial_series(series, d, len(curve))
-    return [[col[j] for col in cols] for j in range(len(curve))], D**d
-
-
 def span_matrix(Z: SchemeSpec, d: int) -> QMatrix:
     """Rows spanning the degree-d image of a curvilinear scheme: the jet
     rows with column beta scaled by multinomial(d, beta)."""
     if d < 1:
         raise InputError("span_matrix needs d >= 1")
-    mults = _multinomials(Z.m, d)
+    ncols = len(monomial_basis(Z.m, d))
     nums: list = []
     dens: list = []
     for comp in Z.components:
@@ -251,10 +234,10 @@ def span_matrix(Z: SchemeSpec, d: int) -> QMatrix:
             raise UnsupportedComponentError(
                 f"span is defined for curvilinear components only, got {type(comp).__name__}"
             )
-        rows, den = _jet_block(Z.m, comp.curve, d)
-        nums.extend([c * v for c, v in zip(mults, row)] for row in rows)
+        rows, den = _span_rows(comp.curve, d)
+        nums.extend(rows)
         dens.extend([den] * len(rows))
-    return QMatrix.from_ints(len(mults), nums, dens)
+    return QMatrix.from_ints(ncols, nums, dens)
 
 
 def _chart_index(point: Vector) -> int:
@@ -265,48 +248,30 @@ def _chart_index(point: Vector) -> int:
     return best
 
 
-@lru_cache(maxsize=None)
-def _derivative_plan(m: int, d: int, gamma: MultiIndex) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Gather plan of d^gamma over the degree-d basis, |gamma| <= d: for
-    each beta the index of beta - gamma in the degree-(d - |gamma|) basis
-    and the factor prod_i beta_i! / (beta_i - gamma_i)!; both are 0 unless
-    gamma <= beta, so the entry is 0 there."""
-    index = monomial_index(m, d - sum(gamma))
-    fact = [factorial(e) for e in range(d + 1)]
-    idx, ff = [], []
-    for beta in monomial_basis(m, d):
-        rest = tuple(map(sub, beta, gamma))
-        if min(rest) < 0:
-            idx.append(0)
-            ff.append(0)
-        else:
-            idx.append(index[rest])
-            ff.append(prod(fact[b] // fact[r] for b, r in zip(beta, rest)))
-    return tuple(idx), tuple(ff)
-
-
 def _derivative_rows(m: int, p: Sequence[int], gammas, d: int) -> list[list[int]]:
     """Integer rows of the functionals x^beta -> d^gamma x^beta (p) over the
     degree-d basis, one row per gamma, at an integer vector p:
 
-        entry (gamma, beta) = prod_i beta_i! / (beta_i - gamma_i)! * p^(beta - gamma),
+        entry (gamma, gamma + beta') = (gamma + beta')! / beta'! * p^beta',
 
-    zero unless gamma <= beta, and zero throughout when |gamma| > d.  Each
-    row gathers p^(beta - gamma) from one power table per degree
-    d - |gamma| and scales it by the plan's factors.
+    zero off the columns gamma + beta', and zero throughout when |gamma| > d.
+    Row gamma of ``_contraction_plan(m, d, |gamma|)`` holds those columns
+    and factors for beta' in the degree-(d - |gamma|) basis, so each row
+    scatters one power table of that degree times the plan's factors.
     """
     ncols = len(monomial_basis(m, d))
     tables: dict[int, list[int]] = {}
     rows = []
     for gamma in gammas:
-        e = d - sum(gamma)
-        if e < 0:
-            rows.append([0] * ncols)
-            continue
-        if e not in tables:
-            tables[e] = _power_table(p, e)
-        idx, ff = _derivative_plan(m, d, gamma)
-        rows.append(list(map(mul, map(tables[e].__getitem__, idx), ff)))
+        a = sum(gamma)
+        row = [0] * ncols
+        if a <= d:
+            if a not in tables:
+                tables[a] = _power_table(p, d - a)
+            idx, factors = _contraction_plan(m, d, a)[monomial_index(m, a)[gamma]]
+            for i, x in zip(idx, map(mul, tables[a], factors)):
+                row[i] = x
+        rows.append(row)
     return rows
 
 
@@ -395,7 +360,7 @@ def conditions_matrix(Z: SchemeSpec, d: int) -> QMatrix:
     dens: list = []
     for comp in Z.components:
         if isinstance(comp, (Reduced, Jet)):
-            rows, den = _jet_block(Z.m, comp.curve, d)
+            rows, den = _jet_rows(comp.curve, d)
             block = rows, [den] * len(rows)
         elif isinstance(comp, FatPoint):
             block = _fat_condition_block(Z.m, comp.point, comp.multiplicity, d)

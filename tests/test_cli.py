@@ -239,6 +239,37 @@ def test_exit_2_on_monomial_basis_beyond_cap(capsys):
     assert captured.err.startswith("input error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("m, d", [(-1, 2), (1, -2)])
+def test_exit_2_on_a_form_with_negative_m_or_d(m, d, tmp_path, capsys):
+    p = tmp_path / "form.json"
+    p.write_text(json.dumps({"m": m, "d": d, "coeffs": []}))
+    for argv in (
+        ["sylvester", "--form", str(p)],
+        ["certify", "--point", str(p), "--scheme", str(GOLDEN / "reduced.json")],
+    ):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", argv
+        assert captured.err.startswith("input error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "2", "140", "--line-jet", "2,1", "--bound", "1000"],
+        ["construct", "2", "140", "--tangent", "3", "--bound", "1000"],
+        ["construct", "2", "150", "--conic-a", "151", "--conic-b", "151"],
+    ],
+)
+def test_exit_2_on_a_constructor_past_the_monomial_cap(argv, capsys):
+    # checked before the first draw, since a draw solves the relations of
+    # 141 or 301 jet rows before any matrix asks for the basis
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1 and "monomials exceed 10000" in captured.err
+
+
 def test_exit_2_on_conditions_rows_beyond_cap(tmp_path, capsys):
     # a fat point of multiplicity 3000 in P^2 has C(3001, 2) = 4.5 million
     # conditions rows; refused before any of them is built

@@ -10,8 +10,8 @@ from veronese.errors import InputError
 from veronese.rationalla import (
     PROBE_PRIME as PRIME,
     QMatrix,
+    _eliminate,
     _fold,
-    _rref,
     kernel_basis,
     membership_solve,
     modular_rank_probe,
@@ -204,7 +204,7 @@ def test_kernel_and_membership_equal_rref_oracle(M, seed):
     reduced form of M times one common pivot, which holds only if every row
     is divided by the previous pivot at every step."""
     rng = random.Random(seed)
-    rows, pivots = _rref([list(r) for r in M.nums])
+    rows, pivots = _eliminate([list(r) for r in M.nums], True)
     reduced, oracle_pivots = naive_rref(M.to_rows())
     assert pivots == oracle_pivots
     d = rows[0][pivots[0]] if pivots else 1

@@ -202,12 +202,17 @@ def test_conditions_double_point_explicit():
 @example((2, frac(F(1, 2), F(-7, 3), 2)), 3, 4)
 @example((3, frac(F(-5, 4), 1, F(-1, 3), F(5, 4))), 2, 5)
 @example((3, frac(0, F(-7, 2), 0, F(5, 3))), 5, 3)
+@example((3, frac(F(-7, 3), 5, F(2, 9), -4)), 2, 7)
+@example((3, frac(F(-7, 3), 5, F(2, 9), -4)), 3, 6)
+@example((3, frac(F(-7, 3), 5, F(2, 9), -4)), 4, 6)
 def test_fat_point_rows_match_oracle(point_in, k, d):
     """Negative and rational chart coordinates included; in the second
     example two coordinates tie for the largest, so the first is the chart.
     Multiplicities up to 5 reach the quadruple points of osculating2 and
     derivative orders above d, whose rows are zero; the third example has
-    zero coordinates on both sides of the chart coordinate."""
+    zero coordinates on both sides of the chart coordinate.  The last three
+    are the largest double, triple and quadruple points the benchmark
+    workloads build: P^3 at d = 7, 6 and 6."""
     m, point = point_in
     assume(any(point))
     M = conditions_matrix(SchemeSpec(m, (FatPoint(point, k),)), d)
@@ -222,10 +227,14 @@ def test_fat_point_rows_match_oracle(point_in, k, d):
 @example((3, frac(F(-1, 2), 3, 0, F(7, 6)), frac(F(2, 3), 0, -1, F(5, 4))), 5)
 @example((2, frac(0, F(-3, 4), 2), frac(1, 0, 0)), 4)
 @example((3, frac(5, F(-2, 3), F(1, 4), -1), frac(0, F(-4, 9), 0, 1)), 8)
+@example((3, frac(F(-7, 3), 5, F(2, 9), -4), frac(3, F(-1, 2), 0, F(5, 7))), 5)
+@example((2, frac(F(-7, 3), 5, F(2, 9)), frac(3, F(-1, 2), 0)), 8)
 def test_two_three_rows_match_oracle(case, d):
     """Rows from the derivative tables equal the directional derivatives
     taken monomial by monomial, entry for entry; directions with zero
-    coordinates and negative rational points included."""
+    coordinates and negative rational points included.  The last two
+    examples are the largest (2,3)-points the benchmark workloads build:
+    P^3 at d = 5 and P^2 at d = 8."""
     m, q, v = case
     assume(not _dependent(q, v))
     M = conditions_matrix(SchemeSpec(m, (TwoThreePoint(q, v),)), d)
