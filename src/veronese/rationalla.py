@@ -21,20 +21,34 @@ in column order", which makes every result reproducible bit for bit.
 
 The modular rank probe reduces the numerators mod p = PROBE_PRIME and packs
 each row into one integer of K-bit slots, one residue per slot, along the
-shorter side of the matrix (the mod-p rank is transpose-invariant), so
-s = min(rows, cols) slots per row and at most s pivots.  A row update is
-then one big-integer shift and multiply-add instead of one ``% p`` per
-entry (Dumas, Fousse & Salvy, "Simultaneous modular reduction and Kronecker
-substitution for small finite fields", 2011).  The pivot row is normalized
-on the whole packed integer too: p = 2^31 - 1 is a Mersenne prime, so
-2^31 = 1 (mod p) and fold(x) = (x mod 2^31) + (x >> 31) = x (mod p), done
-for every slot at once with two masks.  Two folds of a slot below 2^K leave
-at most 2^31 + 2^(K-62).  The argument needs K <= 93, and the bound below
-yields K <= 88 for every s < 2^25 - 1 (any matrix of fewer than 2^49
-entries), so fold twice, multiply by p - 1/head, fold twice more, and every
-slot of the normalized row is at most p + 2.  Slots of the other rows are
-never reduced during elimination; each stays below (s + 1) p (p + 8) < 2^K,
-so no slot carries into the next.
+longer side of the matrix (the mod-p rank is transpose-invariant): a wide
+matrix's rows as they are, a tall matrix's columns.  That leaves
+s = min(rows, cols) packed vectors, so at most s pivots, and a vector still
+takes at most s updates, so K is derived from s, not from the number of
+slots.  A row update is then one big-integer shift and multiply-add instead
+of one ``% p`` per entry (Dumas, Fousse & Salvy, "Simultaneous modular
+reduction and Kronecker substitution for small finite fields", 2011).  The
+pivot row is normalized on the whole packed integer too: p = 2^31 - 1 is a
+Mersenne prime, so 2^31 = 1 (mod p) and fold(x) = (x mod 2^31) + (x >> 31)
+= x (mod p), done for every slot at once with two masks.  Two folds of a
+slot below 2^K leave at most 2^31 + 2^(K-62).  The argument needs K <= 93,
+and the bound below yields K <= 88 for every s < 2^25 - 1 (any matrix of
+fewer than 2^49 entries), so fold twice, multiply by p - 1/head, fold twice
+more, and every slot of the normalized row is at most p + 2.  Slots of the
+other rows are never reduced during elimination; each stays below
+(s + 1) p (p + 8) < 2^K, so no slot carries into the next.  Since two folds
+leave every slot below 2p, a slot is = 0 mod p exactly when it is 0 or p,
+so a whole packed vector is tested for vanishing in a few big-integer
+steps; the probe drops vanished vectors at a column without a pivot and
+stops when none is left, so a span matrix stops after its t pivots and a
+low-rank catalecticant about one column after its last.
+
+The probe also reports its pivot columns.  When they number the rows of M,
+they hold a square minor whose numerators are nonzero mod p, hence nonzero
+over Z; membership then solves that square system, whose solution is the
+unique candidate, and accepts it only after an exact check of every column.
+That is the same rational vector Gauss-Jordan on every column gives, at the
+cost of a rows x rows elimination and one integer combination.
 
 All functions are pure and operate on immutable matrices.
 """
@@ -237,6 +251,16 @@ def membership_solve(
 
     Exact, no tolerance.  When the rows of M are dependent the returned
     combination sets the non-pivot coefficients to zero.
+
+    When the probe finds a pivot for every row, the columns it reports hold
+    a rows x rows minor of the numerators that is nonzero mod p, hence
+    nonzero over Z: the rows are independent and c, if it exists, is the
+    unique solution of that square system.  It is solved by the same
+    Gauss-Jordan and then checked against every column of v exactly, so the
+    coefficients are the same rationals as elimination over Q gives.  Any
+    other matrix (dependent rows, a tall shape, a prime dividing the minor)
+    is solved by Gauss-Jordan on every column, which alone gives the
+    zero-off-the-pivots convention.
     """
     v = [_q(x) for x in v]
     if len(v) != M.cols:
@@ -245,10 +269,13 @@ def membership_solve(
         return [] if all(x == 0 for x in v) else None
     # Solve sum_i c'_i nums_i = D v by Gauss-Jordan on the augmented matrix,
     # one equation per column; then c_i = c'_i dens_i / D.
-    D = lcm(*(x.denominator for x in v))
+    pivots = _probe_pivots(M)
+    square = len(pivots) == M.rows
+    columns = pivots if square else range(M.cols)
+    D = lcm(*(v[j].denominator for j in columns))
     aug = [
-        _primitive(list(col) + [x.numerator * (D // x.denominator)])
-        for col, x in zip(zip(*M.nums), v)
+        _primitive([row[j] for row in M.nums] + [v[j].numerator * (D // v[j].denominator)])
+        for j in columns
     ]
     rows, pivots = _eliminate(aug, True)
     if M.rows in pivots:
@@ -256,6 +283,10 @@ def membership_solve(
     c = [Fraction(0)] * M.rows
     for r, pc in enumerate(pivots):
         c[pc] = Fraction(rows[r][M.rows] * M.dens[pc], rows[r][pc] * D)
+    if square:
+        out, den = M.combine(c)
+        if any(o * x.denominator != x.numerator * den for o, x in zip(out, v)):
+            return None
     return c
 
 
@@ -272,58 +303,80 @@ def _fold(a: int, lo: int, hi: int) -> int:
     return (a & lo) + ((a >> 31) & hi)
 
 
-def modular_rank_probe(M: QMatrix) -> int:
-    """Rank of the numerator rows of M reduced mod PROBE_PRIME; always <=
-    rank_exact(M), since scaling rows does not change the rank.
+def _probe_pivots(M: QMatrix) -> list[int]:
+    """Pivot positions of elimination mod PROBE_PRIME on the numerator rows
+    of M, packed along the longer side: columns of M when rows <= cols, rows
+    of M when it is tall.  Their count is the mod-p rank, and the packed
+    vectors at those positions are independent mod p, hence over Q.
 
-    A fast randomized pre-filter: no denominator is ever inverted, and each
-    row mod p = PROBE_PRIME is one integer of K-bit slots, so a row update
-    is one big-integer shift and multiply-add.  The matrix is packed along
-    its shorter side (the mod-p rank of the numerators is transpose-
-    invariant): with s = min(rows, cols) slots per row, at most s pivots
-    update a row.  The current column is always slot 0, read as
-    ``(a & mask) % p``; eliminating it drops that slot and adds f * N, where
-    f < p and N packs the pivot row normalized and negated mod p.
+    Each packed vector is one integer of K-bit slots, one residue per slot,
+    and a row update is one big-integer shift and multiply-add.  The current
+    position is always slot 0, read as ``(a & mask) % p``; eliminating it
+    drops that slot and adds f * N, where f < p and N packs the pivot vector
+    normalized and negated mod p.  The pivot vector leaves the list, so with
+    s = min(rows, cols) packed vectors a vector takes at most s - 1 updates,
+    and K is derived from s, not from the number of slots.
 
     N is built on the whole packed tail at once: since 2^31 = 1 (mod p),
     ``_fold`` reduces every slot towards p, and
     N = fold(fold(fold(fold(tail)) * (p - 1/head))).  For 64 <= K <= 93,
     two folds take a tail slot below 2^K to at most 2^31 + 2^(K-62) <=
     2^32, the product with p - 1/head stays below 2^63 < 2^K, and two more
-    folds leave each slot of N at most p + 2.  A slot of a row thus stays
-    below p + s * (p - 1) * (p + 2) < (s + 1) * p * (p + 8) < 2^K and never
-    carries into the next one.  The K this bound yields is 72 to 88 for
-    every s < 2^25 - 1; it reaches 96 only for a matrix of at least
+    folds leave each slot of N at most p + 2.  A slot of a vector thus
+    stays below p + s * (p - 1) * (p + 2) < (s + 1) * p * (p + 8) < 2^K and
+    never carries into the next one.  The K this bound yields is 72 to 88
+    for every s < 2^25 - 1; it reaches 96 only for a matrix of at least
     (2^25 - 1)^2 > 2^49 entries.
+
+    At a position where no vector has a nonzero head, every vector that is
+    = 0 mod p in all its slots is dropped, and elimination ends when none is
+    left: a deficient matrix stops about one position after its last pivot
+    instead of passing over every remaining slot.  The test is exact and
+    costs a few big-integer operations: for K <= 88 two folds leave every
+    slot at most 2^31 + 2^26 < 2p, so a slot is = 0 exactly when it equals
+    0 or p, i.e. when the folded vector equals its bit 0 of each slot times p.
     """
     prime = PROBE_PRIME
-    nums = M.nums if M.rows >= M.cols else list(zip(*M.nums))
-    width = min(M.rows, M.cols)
+    nums = M.nums if M.rows <= M.cols else list(zip(*M.nums))
+    width, length = min(M.rows, M.cols), max(M.rows, M.cols)
     # K = 8 * ceil((bitlen((s + 1) * p * (p + 8)) + 1) / 8): whole bytes, so a
     # row packs through int.to_bytes and the slot masks repeat one byte pattern.
     nbytes = ((width + 1) * prime * (prime + 8)).bit_length() // 8 + 1
     K = 8 * nbytes
     mask = (1 << K) - 1
-    lo = int.from_bytes(prime.to_bytes(nbytes, "little") * width, "little")
-    hi = int.from_bytes(((1 << (K - 31)) - 1).to_bytes(nbytes, "little") * width, "little")
+    lo = int.from_bytes(prime.to_bytes(nbytes, "little") * length, "little")
+    hi = int.from_bytes(((1 << (K - 31)) - 1).to_bytes(nbytes, "little") * length, "little")
+    ones = int.from_bytes((1).to_bytes(nbytes, "little") * length, "little")
     rows = [
         int.from_bytes(b"".join([(x % prime).to_bytes(nbytes, "little") for x in r]), "little")
         for r in nums
     ]
-    r = 0
-    for c in range(width):
+    pivots: list[int] = []
+    for c in range(length):
         heads = [(a & mask) % prime for a in rows]
         piv = next((i for i, f in enumerate(heads) if f), None)
         if piv is None:
-            rows = [a >> K for a in rows]
-            continue
-        tail = _fold(_fold(rows.pop(piv) >> K, lo, hi), lo, hi)
-        N = _fold(_fold(tail * (prime - pow(heads.pop(piv), -1, prime)), lo, hi), lo, hi)
-        rows = [(a >> K) + f * N if f else a >> K for a, f in zip(rows, heads)]
-        r += 1
+            folded = [_fold(_fold(a, lo, hi), lo, hi) for a in rows]
+            rows = [a >> K for a, b in zip(rows, folded) if b != (b & ones) * prime]
+        else:
+            tail = _fold(_fold(rows.pop(piv) >> K, lo, hi), lo, hi)
+            N = _fold(_fold(tail * (prime - pow(heads.pop(piv), -1, prime)), lo, hi), lo, hi)
+            rows = [(a >> K) + f * N if f else a >> K for a, f in zip(rows, heads)]
+            pivots.append(c)
         if not rows:
             break
-    return r
+    return pivots
+
+
+def modular_rank_probe(M: QMatrix) -> int:
+    """Rank of the numerator rows of M reduced mod PROBE_PRIME; always <=
+    rank_exact(M), since scaling rows does not change the rank.
+
+    A fast randomized pre-filter: no denominator is ever inverted, and the
+    matrix is eliminated packed along its longer side (``_probe_pivots``),
+    which stops as soon as every packed vector is a pivot or vanishes mod p.
+    """
+    return len(_probe_pivots(M))
 
 
 def rank_with_fastpath(M: QMatrix, cap: Optional[int] = None) -> int:

@@ -535,9 +535,12 @@ def random_jet_on_line(
 
 def random_jet_on_conic(rng: random.Random, m: int, bound: int, length: int = 3) -> Jet:
     """Jet on a parametrized smooth conic c(t) = Q + t V + t^2 W with
-    Q, V, W linearly independent (a non-collinear germ)."""
+    Q, V, W linearly independent (a non-collinear germ), which needs m >= 2:
+    three vectors of K^2 are always dependent."""
     if length < 2:
         raise InputError("jets need length >= 2")
+    if m < 2:
+        raise InputError("a conic needs m >= 2")
     while True:
         q = random_vector(rng, m, bound)
         v = random_vector(rng, m, bound)
@@ -611,7 +614,8 @@ def random_scheme(
                 comp: Component = random_reduced(rng, m, bound)
             elif kind == "jet":
                 length = rng.randint(2, budget)
-                if length >= 3 and rng.random() < 0.5:
+                # the draw comes first, so P^1 keeps every other draw sequence
+                if length >= 3 and rng.random() < 0.5 and m >= 2:
                     comp = random_jet_on_conic(rng, m, bound, length)
                 else:
                     comp = random_jet_on_line(rng, m, bound, length)

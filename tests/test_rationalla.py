@@ -12,6 +12,7 @@ from veronese.rationalla import (
     QMatrix,
     _eliminate,
     _fold,
+    _probe_pivots,
     kernel_basis,
     membership_solve,
     modular_rank_probe,
@@ -156,18 +157,38 @@ def _integer_rows(rng, n, m):
     return QMatrix.from_ints(m, nums, [rng.choice(DENOMINATORS) for _ in nums])
 
 
+def _span_rows(rng, t, n):
+    """``from_ints`` of t <= n independent integer rows, like the span matrix
+    of a degree-t scheme: entries in [-9, 9] plus 200 at one distinct column
+    per row, a diagonally dominant t x t minor.  Some rows are multiplied by
+    the prime, so the probe falls short of t and the solve falls back to
+    Gauss-Jordan on every column; the denominators come from DENOMINATORS."""
+    nums = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(t)]
+    for row, j in zip(nums, rng.sample(range(n), t)):
+        row[j] += 200
+    if rng.random() < 0.3:
+        for i in rng.sample(range(t), rng.randint(1, t)):
+            nums[i] = [PRIME * x for x in nums[i]]
+    return QMatrix.from_ints(n, nums, [rng.choice(DENOMINATORS) for _ in nums])
+
+
 @st.composite
 def rational_matrices(draw):
     """Random rational matrices of any density, rank-deficient products A.B,
     tall thin products shaped like the transposed spans intersected along a
-    line (up to 220 x 10), integer rows over row denominators, and 0-row
+    line (up to 220 x 10), integer rows over row denominators, wide
+    independent rows shaped like span matrices (up to 11 x 286), and 0-row
     matrices; zero rows and columns spliced in."""
     rng = random.Random(draw(st.integers(0, 2**32)))
-    kind = draw(st.sampled_from(("random", "product", "tall", "integer rows", "no rows")))
+    kind = draw(
+        st.sampled_from(("random", "product", "tall", "integer rows", "span", "no rows"))
+    )
     if kind == "no rows":
         return QMatrix.zero(0, draw(st.integers(0, 5)))
     if kind == "integer rows":
         return _integer_rows(rng, rng.randint(1, 9), rng.randint(1, 9))
+    if kind == "span":
+        return _span_rows(rng, rng.randint(1, 11), rng.randint(11, 286))
     if kind == "random":
         cols, density = rng.randint(1, 8), rng.random()
         rows = [
@@ -199,7 +220,8 @@ def rational_matrices(draw):
 def test_kernel_and_membership_equal_rref_oracle(M, seed):
     """Equal to the rationals of elimination over Q, not merely valid: the
     same rank, kernel basis, coefficients (zero off the pivots) and None,
-    for M and for its transpose, with v inside and outside the row space;
+    for M and for its transpose, with v inside and outside the row space and
+    with one coordinate of the inside vector changed;
     the probe never exceeds the rank.  The numerator rows reduce to the
     reduced form of M times one common pivot, which holds only if every row
     is divided by the previous pivot at every step."""
@@ -221,7 +243,13 @@ def test_kernel_and_membership_equal_rref_oracle(M, seed):
             for col in A.transpose().to_rows()
         ]
         outside = [_rational(rng) for _ in range(A.cols)]
-        for v in (inside, outside):
+        # one coordinate of the inside vector moved, often the last column:
+        # where the probe's minor misses that column only the exact check of
+        # every column can refuse it
+        nudged = list(inside)
+        if A.cols:
+            nudged[rng.choice((A.cols - 1, rng.randrange(A.cols)))] += 1
+        for v in (inside, outside, nudged):
             assert membership_solve(A, v) == naive_membership(A, v)
         assert membership_solve(A, inside) is not None
 
@@ -296,6 +324,11 @@ EXTRA_SLOT_BITS = QMatrix.from_ints(
 ALL_TOP_RESIDUES = QMatrix.from_ints(
     40, [[PRIME * ((i * j) % 3) - 1 for j in range(40)] for i in range(40)], [1] * 40
 )
+# the same residues in a wide 3 x 600 matrix, of rank 1 mod PRIME: after the
+# first pivot both other rows vanish with every slot exactly PRIME
+WIDE_TOP_RESIDUES = QMatrix.from_ints(
+    600, [[PRIME * ((i * j) % 3) - 1 for j in range(600)] for i in range(3)], [1] * 3
+)
 
 
 @st.composite
@@ -335,11 +368,36 @@ def probe_matrices(draw):
 @given(probe_matrices())
 @example(EXTRA_SLOT_BITS)
 @example(ALL_TOP_RESIDUES)
+@example(WIDE_TOP_RESIDUES)
 def test_modular_probe_equals_list_oracle(M):
     """The packed probe is the rank of the numerators mod PRIME, the same
     for M and its transpose, whichever side it packs along."""
     probed = modular_rank_probe(M)
     assert probed == naive_modular_rank(M, PRIME) == modular_rank_probe(M.transpose())
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(probe_matrices())
+@example(ALL_TOP_RESIDUES)
+@example(WIDE_TOP_RESIDUES)
+def test_probe_pivots_select_a_full_rank_minor(M):
+    """The probe's pivots are columns of M when rows <= cols and rows of M
+    when it is tall; with every other row (column) kept they select a block
+    whose exact rank equals its number of pivots, a rows x rows minor that
+    ``membership_solve`` solves on when the pivots number M.rows."""
+    pivots = _probe_pivots(M)
+    assert pivots == sorted(set(pivots)) and len(pivots) == naive_modular_rank(M, PRIME)
+    if M.rows <= M.cols:
+        block = QMatrix.from_ints(len(pivots), [[r[j] for j in pivots] for r in M.nums], M.dens)
+    else:
+        block = QMatrix.from_ints(M.cols, [M.nums[i] for i in pivots], [M.dens[i] for i in pivots])
+    assert rank_exact(block) == len(pivots)
 
 
 def test_fastpath_agrees_with_exact():

@@ -610,6 +610,17 @@ def test_jet_reparametrization_preserves_row_space():
         assert rank_exact(A) == rank_exact(B) == rank_exact(A.stack(B)) == k
 
 
+def test_conic_jets_refuse_p1_and_random_p1_schemes_end():
+    # three vectors of K^2 never have rank 3, so a conic draw at m = 1 would
+    # redraw forever; random_scheme keeps its P^1 jets on lines instead
+    with pytest.raises(InputError):
+        random_jet_on_conic(random.Random(0), 1, 12, 3)
+    for seed in range(50):
+        Z = random_scheme(random.Random(seed), 1, 12, bound=3, kinds=("reduced", "jet"))
+        assert Z.m == 1 and 1 <= scheme_degree(Z) <= 12
+        assert all(isinstance(c, (Reduced, Jet)) for c in Z.components)
+
+
 def test_two_three_is_between_double_and_triple():
     rng = random.Random(14)
     for m, d in ((2, 5), (3, 5)):
