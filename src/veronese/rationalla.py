@@ -268,10 +268,11 @@ def membership_solve(
     if M.rows == 0:
         return [] if all(x == 0 for x in v) else None
     # Solve sum_i c'_i nums_i = D v by Gauss-Jordan on the augmented matrix,
-    # one equation per column; then c_i = c'_i dens_i / D.
-    pivots = _probe_pivots(M)
-    square = len(pivots) == M.rows
-    columns = pivots if square else range(M.cols)
+    # one equation per column (per pivot column on the minor); then
+    # c_i = c'_i dens_i / D.
+    probed = _probe_pivots(M)
+    minor = len(probed) == M.rows
+    columns = probed if minor else range(M.cols)
     D = lcm(*(v[j].denominator for j in columns))
     aug = [
         _primitive([row[j] for row in M.nums] + [v[j].numerator * (D // v[j].denominator)])
@@ -283,7 +284,7 @@ def membership_solve(
     c = [Fraction(0)] * M.rows
     for r, pc in enumerate(pivots):
         c[pc] = Fraction(rows[r][M.rows] * M.dens[pc], rows[r][pc] * D)
-    if square:
+    if minor:
         out, den = M.combine(c)
         if any(o * x.denominator != x.numerator * den for o, x in zip(out, v)):
             return None
@@ -306,8 +307,9 @@ def _fold(a: int, lo: int, hi: int) -> int:
 def _probe_pivots(M: QMatrix) -> list[int]:
     """Pivot positions of elimination mod PROBE_PRIME on the numerator rows
     of M, packed along the longer side: columns of M when rows <= cols, rows
-    of M when it is tall.  Their count is the mod-p rank, and the packed
-    vectors at those positions are independent mod p, hence over Q.
+    of M when it is tall.  Their count is the mod-p rank, and the columns
+    (rows, when tall) of M at those positions are independent mod p, hence
+    over Q.
 
     Each packed vector is one integer of K-bit slots, one residue per slot,
     and a row update is one big-integer shift and multiply-add.  The current

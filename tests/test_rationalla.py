@@ -157,7 +157,7 @@ def _integer_rows(rng, n, m):
     return QMatrix.from_ints(m, nums, [rng.choice(DENOMINATORS) for _ in nums])
 
 
-def _span_rows(rng, t, n):
+def _span_shaped_rows(rng, t, n):
     """``from_ints`` of t <= n independent integer rows, like the span matrix
     of a degree-t scheme: entries in [-9, 9] plus 200 at one distinct column
     per row, a diagonally dominant t x t minor.  Some rows are multiplied by
@@ -188,7 +188,7 @@ def rational_matrices(draw):
     if kind == "integer rows":
         return _integer_rows(rng, rng.randint(1, 9), rng.randint(1, 9))
     if kind == "span":
-        return _span_rows(rng, rng.randint(1, 11), rng.randint(11, 286))
+        return _span_shaped_rows(rng, rng.randint(1, 11), rng.randint(11, 286))
     if kind == "random":
         cols, density = rng.randint(1, 8), rng.random()
         rows = [
