@@ -2,8 +2,10 @@
 
 Exit status 0 means every claim in every emitted certificate passed,
 1 means a certificate was refused or a claim failed, 2 means malformed
-input or an --out path that cannot be written, 3 means a seeded
-construction ran out of resamples or two exact computations disagreed.
+input, an --out path that cannot be written or a standard output whose
+reader has gone (a broken pipe, reported in one line without a traceback),
+3 means a seeded construction ran out of resamples or two exact
+computations disagreed.
 All randomness flows from --seed, and identical invocations produce
 byte-identical JSON output.
 """
@@ -13,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from typing import Optional
 
@@ -354,7 +357,15 @@ def main(argv: Optional[list[str]] = None) -> int:
             sys.stderr.write(f"cannot write {args.out}: {e}\n")
             return 2
     else:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except BrokenPipeError as e:
+            # the reader is gone; point stdout at devnull so that the
+            # interpreter's flush at exit does not raise a second time
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            sys.stderr.write(f"cannot write standard output: {e}\n")
+            return 2
     return 0 if passed else 1
 
 

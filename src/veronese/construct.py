@@ -29,6 +29,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import comb, prod
 from typing import Callable, List, Optional, Sequence, TypeVar
 
@@ -46,6 +47,8 @@ from .forms import (
     Summand,
     catalecticant_matrix,
     form_to_json,
+    hankel_index,
+    hankel_values,
     monomial_basis,
     power_rows,
     power_sum,
@@ -53,6 +56,7 @@ from .forms import (
     rat_to_str,
 )
 from .rationalla import (
+    GatheredMatrix,
     QMatrix,
     membership_solve,
     rank_exact,
@@ -118,11 +122,22 @@ def flattening_rank(P: Form, t: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     kernel of Cat_a(P), so rank Cat_a(P) <= h_Z(a) <= t, and
     ``rank_with_fastpath`` with cap t settles it.  A rank above t contradicts
     the membership and raises InternalInconsistency.
+
+    Each order is probed on the Hankel matrix G[gamma+beta] of P's values
+    (``hankel_values``, ``hankel_index``), which is Cat_a(P)'s numerator
+    matrix with column beta multiplied by beta!, so it has the same rank;
+    ``catalecticant_matrix(P, a)`` is built only when its probe falls short
+    of the cap and Bareiss decides.
     """
+    orders = range(1, P.d // 2 + 1)
+    hankels = GatheredMatrix.gather(
+        hankel_values(P),
+        ((hankel_index(P.m, P.d, a), partial(catalecticant_matrix, P, a)) for a in orders),
+    )
     per_a = []
     best = 0
-    for a in range(1, P.d // 2 + 1):
-        r = rank_with_fastpath(catalecticant_matrix(P, a), cap=t)
+    for a, H in zip(orders, hankels):
+        r = rank_with_fastpath(H, cap=t)
         if r > t:
             raise InternalInconsistency(
                 f"flattening rank {r} exceeds certified degree {t}"

@@ -370,7 +370,8 @@ def _factorial_weights(m: int, d: int) -> tuple[int, ...]:
 def _contraction_plan(
     m: int, d: int, a: int
 ) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """The (indices, factors) pair of each row of ``_contraction_rows``."""
+    """The (indices, factors) pair of each row of ``_contraction_rows``; the
+    indices alone are the rows of ``hankel_index``."""
     index = monomial_index(m, d)
     weights = _factorial_weights(m, d)
     cols = tuple(zip(monomial_basis(m, d - a), _factorial_weights(m, d - a)))
@@ -398,6 +399,30 @@ def _contraction_rows(F: Form, a: int) -> QMatrix:
     plan = _contraction_plan(F.m, F.d, a)
     rows = [list(map(mul, map(nums.__getitem__, idx), factors)) for idx, factors in plan]
     return QMatrix.from_ints(comb(F.m + F.d - a, F.m), rows, [D] * len(rows))
+
+
+def hankel_values(F: Form) -> tuple[int, ...]:
+    """G_alpha = n_alpha * alpha! for alpha in the degree-d basis, where
+    n_alpha / D are F's coefficients over one common denominator D: the
+    values Lambda(x^alpha) = f_alpha * alpha! of F's apolar functional,
+    times D.
+
+    Gathered by ``hankel_index(m, d, a)``, they give the Hankel matrix
+    H_a[gamma, beta] = G[gamma+beta] (Brachat, Comon, Mourrain & Tsigaridas,
+    "Symmetric tensor decomposition", 2010), which is the numerator matrix
+    of ``catalecticant_matrix(F, a)`` with column beta multiplied by beta!:
+    the same rank over Q, from C(m+d, m) values instead of one product per
+    entry.
+    """
+    (nums,), _ = _clear_denominators([F.coeffs])
+    return tuple(map(mul, nums, _factorial_weights(F.m, F.d)))
+
+
+def hankel_index(m: int, d: int, a: int) -> tuple[tuple[int, ...], ...]:
+    """Row gamma of the order-a Hankel matrix as indices into
+    ``hankel_values``: the degree-d index of gamma+beta for each beta in
+    the degree-(d-a) basis, as the cached contraction plan holds them."""
+    return tuple(idx for idx, _ in _contraction_plan(m, d, a))
 
 
 def catalecticant_matrix(F: Form, a: int) -> QMatrix:

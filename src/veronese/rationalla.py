@@ -43,6 +43,24 @@ steps; the probe drops vanished vectors at a column without a pivot and
 stops when none is left, so a span matrix stops after its t pivots and a
 low-rank catalecticant about one column after its last.
 
+The probe reads its input as one flat list of residues, one packed vector
+per ``length`` of them.  A ``QMatrix`` reduces each numerator along its
+longer side.  A ``GatheredMatrix`` reduces one vector of values once and
+reads each entry from it by index: a catalecticant Cat_a(F) times
+diag(beta!) is the Hankel matrix H_a[gamma, beta] = G[gamma+beta] of
+G_alpha = n_alpha alpha!, n the cleared numerators of F (Brachat, Comon,
+Mourrain & Tsigaridas, "Symmetric tensor decomposition", 2010), so its
+C(m+d, m) values give every residue of every order a.  Scaling columns by
+nonzero integers keeps the rank over Q, so a probe of H_a that reaches its
+cap proves the rank of Cat_a, whatever the factors are mod p.  They are
+units: every beta! is a product of integers <= d, and d < p whenever
+m >= 1, since ``forms.MAX_MONOMIALS`` keeps d + 1 <= C(m+d, m) <= 10^4.
+So H_a also has Cat_a's pivot columns and mod-p rank, and the probe takes
+the same path on either.  The residues are packed by bytes, not by
+integers: they go into one array of 32-bit lanes, and each of its four
+byte lanes is copied with one slice assignment of stride nbytes into a
+zeroed buffer, so a slot costs no ``to_bytes`` call of its own.
+
 The probe also reports its pivot columns.  When they number the rows of M,
 they hold a square minor whose numerators are nonzero mod p, hence nonzero
 over Z; membership then solves that square system, whose solution is the
@@ -55,11 +73,13 @@ All functions are pure and operate on immutable matrices.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import InputError
 
@@ -167,6 +187,38 @@ class QMatrix:
         if self.cols != other.cols:
             raise InputError("column mismatch in stack")
         return QMatrix(self.cols, self.nums + other.nums, self.dens + other.dens)
+
+
+@dataclass(frozen=True)
+class GatheredMatrix:
+    """A matrix whose integer rows are gathered from one vector of values:
+    row i is (values[j] for j in index[i]), and equals the numerator row i
+    of ``exact()`` times nonzero column factors.  Its rank is that of
+    ``exact()``, and the probe reads only the residues of the values.
+    Build it with ``gather``."""
+
+    residues: tuple[int, ...]  # the values mod PROBE_PRIME
+    index: tuple[tuple[int, ...], ...]
+    exact: Callable[[], QMatrix]
+
+    @classmethod
+    def gather(
+        cls,
+        values: Sequence[int],
+        plans: Iterable[tuple[tuple[tuple[int, ...], ...], Callable[[], QMatrix]]],
+    ) -> list["GatheredMatrix"]:
+        """One matrix per (index rows, exact builder) plan, all gathered from
+        the values, which are reduced mod PROBE_PRIME once."""
+        residues = tuple([x % PROBE_PRIME for x in values])
+        return [cls(residues, index, exact) for index, exact in plans]
+
+    @property
+    def rows(self) -> int:
+        return len(self.index)
+
+    @property
+    def cols(self) -> int:
+        return len(self.index[0]) if self.index else 0
 
 
 def _primitive(row: Sequence[int]) -> Sequence[int]:
@@ -304,12 +356,37 @@ def _fold(a: int, lo: int, hi: int) -> int:
     return (a & lo) + ((a >> 31) & hi)
 
 
-def _probe_pivots(M: QMatrix) -> list[int]:
+def _pack(residues: Iterable[int], length: int, nbytes: int) -> list[int]:
+    """One integer of ``length`` slots of ``nbytes`` bytes per ``length``
+    residues, slot j of each holding its residue j (every residue < 2^31).
+
+    The residues go into one array of 32-bit lanes, and its bytes are copied
+    lane by lane into one zeroed buffer with stride ``nbytes``: four C-level
+    slice copies, where packing entry by entry costs one ``to_bytes`` each.
+    """
+    lanes = array("I", residues)
+    if sys.byteorder == "big":
+        lanes.byteswap()
+    raw, size = lanes.tobytes(), lanes.itemsize
+    buf = bytearray(len(lanes) * nbytes)
+    for b in range(4):
+        buf[b::nbytes] = raw[b::size]
+    view, step = memoryview(buf), length * nbytes
+    return [int.from_bytes(view[i : i + step], "little") for i in range(0, len(buf), step)]
+
+
+def _probe_pivots(M: QMatrix | GatheredMatrix) -> list[int]:
     """Pivot positions of elimination mod PROBE_PRIME on the numerator rows
     of M, packed along the longer side: columns of M when rows <= cols, rows
     of M when it is tall.  Their count is the mod-p rank, and the columns
     (rows, when tall) of M at those positions are independent mod p, hence
     over Q.
+
+    The residues along the longer side come as one flat list, one packed
+    vector per ``length`` of them (``_pack``): a ``QMatrix``'s numerators
+    each reduced mod p, a ``GatheredMatrix``'s read from its residues by
+    index, so a Hankel matrix reduces no entry of its own.  A shape with no
+    rows or no columns has no pivot and packs nothing.
 
     Each packed vector is one integer of K-bit slots, one residue per slot,
     and a row update is one big-integer shift and multiply-add.  The current
@@ -339,20 +416,25 @@ def _probe_pivots(M: QMatrix) -> list[int]:
     0 or p, i.e. when the folded vector equals its bit 0 of each slot times p.
     """
     prime = PROBE_PRIME
-    nums = M.nums if M.rows <= M.cols else list(zip(*M.nums))
     width, length = min(M.rows, M.cols), max(M.rows, M.cols)
+    if not width:
+        return []
+    wide = M.rows <= M.cols
+    if isinstance(M, QMatrix):
+        lines = M.nums if wide else zip(*M.nums)
+        residues = [x % prime for line in lines for x in line]
+    else:
+        lines, table = M.index if wide else zip(*M.index), M.residues
+        residues = [table[i] for line in lines for i in line]
     # K = 8 * ceil((bitlen((s + 1) * p * (p + 8)) + 1) / 8): whole bytes, so a
-    # row packs through int.to_bytes and the slot masks repeat one byte pattern.
+    # row packs by byte copies and the slot masks repeat one byte pattern.
     nbytes = ((width + 1) * prime * (prime + 8)).bit_length() // 8 + 1
     K = 8 * nbytes
     mask = (1 << K) - 1
     lo = int.from_bytes(prime.to_bytes(nbytes, "little") * length, "little")
     hi = int.from_bytes(((1 << (K - 31)) - 1).to_bytes(nbytes, "little") * length, "little")
     ones = int.from_bytes((1).to_bytes(nbytes, "little") * length, "little")
-    rows = [
-        int.from_bytes(b"".join([(x % prime).to_bytes(nbytes, "little") for x in r]), "little")
-        for r in nums
-    ]
+    rows = _pack(residues, length, nbytes)
     pivots: list[int] = []
     for c in range(length):
         heads = [(a & mask) % prime for a in rows]
@@ -370,9 +452,10 @@ def _probe_pivots(M: QMatrix) -> list[int]:
     return pivots
 
 
-def modular_rank_probe(M: QMatrix) -> int:
-    """Rank of the numerator rows of M reduced mod PROBE_PRIME; always <=
-    rank_exact(M), since scaling rows does not change the rank.
+def modular_rank_probe(M: QMatrix | GatheredMatrix) -> int:
+    """Rank of the numerator rows of M reduced mod PROBE_PRIME (of the
+    gathered rows, for a ``GatheredMatrix``); always <= the exact rank of M,
+    since scaling rows or columns by nonzero factors does not change it.
 
     A fast randomized pre-filter: no denominator is ever inverted, and the
     matrix is eliminated packed along its longer side (``_probe_pivots``),
@@ -381,7 +464,7 @@ def modular_rank_probe(M: QMatrix) -> int:
     return len(_probe_pivots(M))
 
 
-def rank_with_fastpath(M: QMatrix, cap: Optional[int] = None) -> int:
+def rank_with_fastpath(M: QMatrix | GatheredMatrix, cap: Optional[int] = None) -> int:
     """Exact rank with a sound modular shortcut, the one entry point of the
     probe: ``schemes.h1``, every full-rank claim and every flattening rank
     settle their ranks this way.
@@ -391,10 +474,11 @@ def rank_with_fastpath(M: QMatrix, cap: Optional[int] = None) -> int:
     full rank.  A caller that knows the rank is at most ``cap`` may pass it:
     a probe that reaches min(rows, cols, cap) is then the exact rank, and a
     probe above the cap is returned as it is, for the caller to refuse.  Any
-    other probe result falls back to Bareiss.
+    other probe result falls back to Bareiss, on ``M.exact()`` for a
+    ``GatheredMatrix``, which is built only then.
     """
     reach = min(M.rows, M.cols) if cap is None else min(M.rows, M.cols, cap)
     probed = modular_rank_probe(M)
     if probed >= reach:
         return probed
-    return rank_exact(M)
+    return rank_exact(M if isinstance(M, QMatrix) else M.exact())

@@ -221,6 +221,24 @@ def test_construct_line_jet_at_a_large_bound():
     assert report["decomposition"]["size"] == 10
 
 
+def test_exit_2_on_closed_stdout():
+    # `veronese gamma 2 9 4 | head -c 0`: the pipe's read end is closed
+    # before the child starts, so its first write to stdout breaks the pipe
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "veronese.cli", "gamma", "2", "9", "4"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("cannot write standard output") and proc.stderr.count("\n") == 1
+
+
 def test_exit_2_on_stratify_beyond_partition_bound(capsys):
     # one entry per partition of t: p(60) = 966467 entries
     from veronese.strata import MAX_REPORT_T

@@ -332,15 +332,17 @@ def test_capped_flattening_rank_matches_naive_ranks(case):
     assert fr == max(r for _, r in expected)
 
 
-def _bareiss_flattening_orders(monkeypatch, m, d, parts, seed):
-    """Contraction orders a whose catalecticant went to ``rank_exact``
-    while constructing a point of the label."""
+def _flattening_proof_orders(monkeypatch, m, d, parts, seed):
+    """Contraction orders a whose exact catalecticant was built, and those
+    whose catalecticant went to ``rank_exact``, while constructing a point
+    of the label."""
     made = {}  # id -> (a, matrix); holding the matrix keeps its id unique
-    calls = []
+    built, calls = [], []
 
     def catalecticant(P, a):
         M = catalecticant_matrix(P, a)
         made[id(M)] = (a, M)
+        built.append(a)
         return M
 
     def rank(M):
@@ -351,14 +353,16 @@ def _bareiss_flattening_orders(monkeypatch, m, d, parts, seed):
     monkeypatch.setattr(construct, "catalecticant_matrix", catalecticant)
     monkeypatch.setattr(rationalla, "rank_exact", rank)
     construct_stratum_point(m, d, StratumLabel.make(parts), seed=seed)
-    return calls
+    return built, calls
 
 
 def test_flattening_proof_path(monkeypatch):
-    # uniqueness regime: every catalecticant reaches its cap min(rows, cols, 4)
-    assert _bareiss_flattening_orders(monkeypatch, 2, 9, [2, 1, 1], 0) == []
-    # a length-5 jet on a line plus a point: h_Z(a) = 4, 5 < 6 at a = 2, 3
-    assert _bareiss_flattening_orders(monkeypatch, 2, 9, [5, 1], 0) == [2, 3]
+    # uniqueness regime: every Hankel probe reaches its cap min(rows, cols,
+    # 4), so no exact catalecticant is built at all
+    assert _flattening_proof_orders(monkeypatch, 2, 9, [2, 1, 1], 0) == ([], [])
+    # a length-5 jet on a line plus a point: h_Z(a) = 4, 5 < 6 at a = 2, 3,
+    # the only orders whose catalecticant is built, each for Bareiss
+    assert _flattening_proof_orders(monkeypatch, 2, 9, [5, 1], 0) == ([2, 3], [2, 3])
 
 
 def test_certify_three_general_points():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from oracles import (
     catalecticant_oracle,
     evaluate,
+    naive_modular_rank,
     naive_power,
     naive_power_sum,
     naive_poly_mul,
@@ -24,13 +25,21 @@ from veronese.forms import (
     catalecticant_matrix,
     form_from_json,
     form_to_json,
+    hankel_index,
+    hankel_values,
     monomial_basis,
     power_expand,
     power_rows,
     power_sum,
     product_expand,
 )
-from veronese.rationalla import rank_exact
+from veronese.rationalla import (
+    PROBE_PRIME as PRIME,
+    GatheredMatrix,
+    modular_rank_probe,
+    rank_exact,
+    rank_with_fastpath,
+)
 
 
 def test_monomial_basis_counts():
@@ -175,6 +184,53 @@ def test_catalecticant_against_oracle_at_workload_sizes(m, d, orders):
     )
     for a in orders:
         assert _contraction_rows(F, a).to_rows() == catalecticant_oracle(F.terms(), m, d, a)
+
+
+@st.composite
+def hankel_forms(draw):
+    """Forms in m + 1 = 2..4 variables of degree d <= 10 for the Hankel
+    probe: random rational coefficients or a short power sum (catalecticants
+    of low rank), some numerators multiplied by PRIME and, in some draws,
+    one coefficient over the denominator PRIME, which makes every other
+    cleared numerator a multiple of PRIME."""
+    m, d = draw(st.integers(1, 3)), draw(st.integers(2, 10))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n = comb(m + d, m)
+    if draw(st.booleans()):
+        coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(n)]
+    else:
+        F = Form.from_coeffs(m, d, [0] * n)
+        for _ in range(rng.randint(1, 4)):
+            L = LinearForm.make([rng.randint(-3, 3) for _ in range(m)] + [1])
+            F = F + power_expand(L, d).scale(Fraction(rng.randint(1, 9), rng.randint(1, 5)))
+        coeffs = list(F.coeffs)
+    for i in rng.sample(range(n), rng.randint(0, n // 2)):
+        coeffs[i] *= rng.choice((PRIME, -PRIME, 3 * PRIME))
+    if draw(st.booleans()):
+        coeffs[rng.randrange(n)] = Fraction(rng.randint(1, 9), PRIME)
+    return Form.from_coeffs(m, d, coeffs)
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(hankel_forms())
+def test_hankel_probe_equals_catalecticant_modular_rank(F):
+    """For every order 1 <= a <= d-1 (tall matrices above d/2), the probe
+    of the Hankel matrix gathered from ``hankel_values`` is the rank of the
+    catalecticant's numerators mod PRIME, and the fast path on it, which
+    builds the catalecticant only to fall back, is its exact rank."""
+    orders = range(1, F.d)
+    plans = [(hankel_index(F.m, F.d, a), lambda a=a: catalecticant_matrix(F, a)) for a in orders]
+    for a, H in zip(orders, GatheredMatrix.gather(hankel_values(F), plans)):
+        C = catalecticant_matrix(F, a)
+        assert modular_rank_probe(H) == naive_modular_rank(C, PRIME)
+        assert (H.rows, H.cols) == (C.rows, C.cols)
+        assert rank_with_fastpath(H) == rank_exact(C)
 
 
 def test_catalecticant_pure_power_rank_one():

@@ -64,3 +64,16 @@ def test_every_imported_name_is_used():
                 used |= {e.value for e in node.value.elts}
         unused += [f"{path.name}:{n} {name}" for name, n in imported.items() if name not in used]
     assert unused == []
+
+
+def test_only_rationalla_names_the_probe_prime():
+    """The probe's prime is one module's decision: no other module of the
+    package names PROBE_PRIME, so residues mod p are made in rationalla
+    only."""
+    word = re.compile(r"\bPROBE_PRIME\b")
+    naming = [
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "rationalla.py" and word.search(path.read_text(encoding="utf-8"))
+    ]
+    assert naming == []
