@@ -23,12 +23,11 @@ from .forms import (
     Form,
     LinearForm,
     Summand,
-    _clear_denominators,
     _contraction_rows,
     catalecticant_matrix,
     power_rows,
 )
-from .rationalla import QMatrix, kernel_basis, membership_solve, rank_exact
+from .rationalla import QMatrix, _clear_denominators, kernel_basis, membership_solve, rank_exact
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +247,7 @@ class SylvesterResult:
 def _split_decomposition(f: Form, roots) -> Optional[DecompositionRecord]:
     lins = [LinearForm.make([a, b]) for a, b in roots]
     rows = power_rows(1, f.d, [L.coeffs for L in lins])
-    sol = membership_solve(rows, f.coeffs)
+    _, sol = membership_solve(rows, f.coeffs)
     if sol is None:
         return None
     summands = tuple(Summand(c, L) for c, L in zip(sol, lins) if c != 0)

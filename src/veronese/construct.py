@@ -2,6 +2,8 @@
 
 Every certificate is a list of claims, each backed by exact rank
 computations; a certificate only exists when all of its claims passed.
+A span's independence, membership and exclusion claims come from one
+``membership_solve`` on its span matrix, which returns the rank it proves.
 Border ranks are certified through the uniqueness criterion (twice the
 scheme degree at most d+1) or through the line-intersection criterion
 (degree at most 2 on every line), and cross-checked against catalecticant
@@ -238,10 +240,11 @@ def _require(claims: List[Claim], claim: Claim) -> None:
 
 
 def _span_claims(
-    Z: SchemeSpec, S: QMatrix, r: int, P: Form, independence: str, nonzero: bool = True
+    Z: SchemeSpec, S: QMatrix, P: Form, independence: str, nonzero: bool = True
 ) -> List[Claim]:
     """Independence, membership and exclusion claims for a curvilinear Z with
-    span matrix S of rank r and target P, from that rank and one solve.
+    span matrix S and target P, all from one ``membership_solve``, which
+    proves the rank of S and gives P's coefficients on its rows.
 
     h1 = deg Z - rank S, because the conditions rows are the span rows with
     column beta scaled by multinomial(d, beta) != 0.  With ``nonzero`` the
@@ -251,8 +254,8 @@ def _span_claims(
     """
     t = scheme_degree(Z)
     claims: List[Claim] = []
+    r, sol = membership_solve(S, P.coeffs)
     _require(claims, Claim(independence, (r, t - r), r == t))
-    sol = membership_solve(S, P.coeffs)
     if nonzero:
         statement = "target lies in the span with all coefficients nonzero"
         passed = sol is not None and all(c != 0 for c in sol)
@@ -370,11 +373,9 @@ def certify_border_rank(P: Form, Z: SchemeSpec, d: int) -> Certificate:
     if P.m != Z.m or P.d != d:
         raise InputError("form and scheme live in different spaces")
     t = scheme_degree(Z)
-    S = span_matrix(Z, d)
     claims = _span_claims(
         Z,
-        S,
-        rank_with_fastpath(S),
+        span_matrix(Z, d),
         P,
         f"scheme of degree {t} imposes independent conditions in degree {d} (h1 = 0)",
         nonzero=False,
@@ -483,15 +484,13 @@ def construct_stratum_point(
         if Z is None:
             return None
         S = span_matrix(Z, d)
-        if rank_with_fastpath(S) != t:
-            return None
         lam = [Fraction(_nonzero_int(rng, bound)) for _ in range(t)]
         P = Form.from_ints(m, d, *S.combine(lam))
         fr, per_a = flattening_rank(P, t)  # fr <= t, else it raises
         if regime and fr != t:
             return None
         claims = _span_claims(
-            Z, S, t, P, f"scheme of degree {t} imposes independent conditions (h1 = 0)"
+            Z, S, P, f"scheme of degree {t} imposes independent conditions (h1 = 0)"
         )
         if regime:
             e1_flag = t <= (d - 1) // 2
@@ -580,14 +579,8 @@ def construct_line_jet(
         dim_claim_rank = rank_with_fastpath(power_rows(m, d, line_span + pts))
         if dim_claim_rank != d + 1 + s1:
             return None
-        S = span_matrix(Z, d)
-        claims = _span_claims(
-            Z,
-            S,
-            rank_with_fastpath(S),
-            P,
-            f"scheme jet({t1}) + {s1} points imposes independent conditions",
-        )
+        independence = f"scheme jet({t1}) + {s1} points imposes independent conditions"
+        claims = _span_claims(Z, span_matrix(Z, d), P, independence)
         claims.append(
             Claim(
                 f"line span plus points has the expected dimension {d}+{s1}",
@@ -668,9 +661,8 @@ def construct_tangent_plus_points(
 
         # the sample is in linearly general position
         claims = [Claim("scheme is in linearly general position", (), True)]
-        S = span_matrix(Z, d)
         claims += _span_claims(
-            Z, S, rank_with_fastpath(S), P, "scheme imposes independent conditions (h1 = 0)"
+            Z, span_matrix(Z, d), P, "scheme imposes independent conditions (h1 = 0)"
         )
         if 2 * t <= d + 1:
             claims.append(

@@ -15,12 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, prod
 from operator import add, mul
 from typing import Dict, Iterable, Sequence, Tuple
 
 from .errors import InputError
-from .rationalla import QMatrix, _q
+from .rationalla import QMatrix, _clear_denominators, _q
 
 MultiIndex = Tuple[int, ...]
 
@@ -155,16 +155,6 @@ class Form:
     def scale(self, s) -> "Form":
         s = _q(s)
         return Form(self.m, self.d, tuple(s * c for c in self.coeffs))
-
-
-def _clear_denominators(vectors: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
-    """Integer numerators over one common denominator D: x == n / D for
-    every entry x and its numerator n."""
-    D = 1
-    for v in vectors:
-        for x in v:
-            D = lcm(D, x.denominator)
-    return [[x.numerator * (D // x.denominator) for x in v] for v in vectors], D
 
 
 def _tmul(a: Sequence, b: Sequence, cap: int) -> list:
@@ -447,10 +437,7 @@ def rat_to_str(x: Fraction) -> str:
 
 
 def rat_from_str(s: str) -> Fraction:
-    try:
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError) as e:
-        raise InputError(f"bad rational literal {s!r}: {e}") from None
+    return _q(s)
 
 
 def rat_from_json(x) -> Fraction:

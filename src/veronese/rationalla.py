@@ -66,7 +66,9 @@ they hold a square minor whose numerators are nonzero mod p, hence nonzero
 over Z; membership then solves that square system, whose solution is the
 unique candidate, and accepts it only after an exact check of every column.
 That is the same rational vector Gauss-Jordan on every column gives, at the
-cost of a rows x rows elimination and one integer combination.
+cost of a rows x rows elimination and one integer combination.  A solve
+also returns the rank it proves: M.rows on the minor, and otherwise the
+Gauss-Jordan pivots that fall among the columns of M^T.
 
 All functions are pure and operate on immutable matrices.
 """
@@ -87,13 +89,27 @@ PROBE_PRIME = (1 << 31) - 1  # the prime of ``modular_rank_probe``
 
 
 def _q(x) -> Fraction:
+    """The package's one rational parser: "p/q" and decimal strings, but no
+    exponent notation, since "1eN" builds 10^N, which grows with N."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        if "e" in x or "E" in x:
+            raise InputError(f"bad rational literal {x!r}: exponent notation is not accepted")
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError) as e:
+            raise InputError(f"bad rational literal {x!r}: {e}") from None
     raise InputError(f"not an exact rational: {x!r}")
+
+
+def _clear_denominators(vectors: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
+    """Integer numerators over one common denominator D, the lcm of every
+    entry's denominator: x == n / D for every entry x and its numerator n."""
+    D = lcm(*[x.denominator for v in vectors for x in v])
+    return [[x.numerator * (D // x.denominator) for x in v] for v in vectors], D
 
 
 @dataclass(frozen=True)
@@ -126,10 +142,9 @@ class QMatrix:
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence]) -> "QMatrix":
         """Clears the denominators of each row once."""
-        rows = [[_q(x) for x in r] for r in rows]
-        dens = [lcm(*(x.denominator for x in r)) for r in rows]
-        nums = [[x.numerator * (D // x.denominator) for x in r] for r, D in zip(rows, dens)]
-        return cls.from_ints(len(rows[0]) if rows else 0, nums, dens)
+        cleared = [_clear_denominators([[_q(x) for x in r]]) for r in rows]
+        nums = [n for (n,), _ in cleared]
+        return cls.from_ints(len(nums[0]) if nums else 0, nums, [D for _, D in cleared])
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "QMatrix":
@@ -298,27 +313,29 @@ def kernel_basis(M: QMatrix) -> list[list[Fraction]]:
 
 def membership_solve(
     M: QMatrix, v: Sequence
-) -> Optional[list[Fraction]]:
-    """Coefficients c with c^T M = v, or None when v is not in the row space.
+) -> tuple[int, Optional[list[Fraction]]]:
+    """(rank of M, coefficients c with c^T M = v), c None when v is not in
+    the row space.
 
     Exact, no tolerance.  When the rows of M are dependent the returned
     combination sets the non-pivot coefficients to zero.
 
     When the probe finds a pivot for every row, the columns it reports hold
     a rows x rows minor of the numerators that is nonzero mod p, hence
-    nonzero over Z: the rows are independent and c, if it exists, is the
-    unique solution of that square system.  It is solved by the same
-    Gauss-Jordan and then checked against every column of v exactly, so the
-    coefficients are the same rationals as elimination over Q gives.  Any
-    other matrix (dependent rows, a tall shape, a prime dividing the minor)
-    is solved by Gauss-Jordan on every column, which alone gives the
-    zero-off-the-pivots convention.
+    nonzero over Z: the rank is M.rows, and c, if it exists, is the unique
+    solution of that square system.  It is solved by the same Gauss-Jordan
+    and then checked against every column of v exactly, so the coefficients
+    are the same rationals as elimination over Q gives.  Any other matrix
+    (dependent rows, a tall shape, a prime dividing the minor) is solved by
+    Gauss-Jordan on every column, which alone gives the zero-off-the-pivots
+    convention; its rank is the number of pivots among the first M.rows
+    columns of the augmented system, the transpose of M.
     """
     v = [_q(x) for x in v]
     if len(v) != M.cols:
         raise InputError(f"vector length {len(v)} != cols {M.cols}")
     if M.rows == 0:
-        return [] if all(x == 0 for x in v) else None
+        return 0, [] if all(x == 0 for x in v) else None
     # Solve sum_i c'_i nums_i = D v by Gauss-Jordan on the augmented matrix,
     # one equation per column (per pivot column on the minor); then
     # c_i = c'_i dens_i / D.
@@ -332,15 +349,15 @@ def membership_solve(
     ]
     rows, pivots = _eliminate(aug, True)
     if M.rows in pivots:
-        return None
+        return len(pivots) - 1, None
     c = [Fraction(0)] * M.rows
     for r, pc in enumerate(pivots):
         c[pc] = Fraction(rows[r][M.rows] * M.dens[pc], rows[r][pc] * D)
     if minor:
         out, den = M.combine(c)
         if any(o * x.denominator != x.numerator * den for o, x in zip(out, v)):
-            return None
-    return c
+            return M.rows, None
+    return len(pivots), c
 
 
 def _fold(a: int, lo: int, hi: int) -> int:
@@ -465,9 +482,10 @@ def modular_rank_probe(M: QMatrix | GatheredMatrix) -> int:
 
 
 def rank_with_fastpath(M: QMatrix | GatheredMatrix, cap: Optional[int] = None) -> int:
-    """Exact rank with a sound modular shortcut, the one entry point of the
-    probe: ``schemes.h1``, every full-rank claim and every flattening rank
-    settle their ranks this way.
+    """Exact rank with a sound modular shortcut: ``schemes.h1``, the
+    line-jet dimension claim and every flattening rank settle their ranks
+    this way (a span's rank comes from ``membership_solve``, whose probe
+    proves it along with the solve).
 
     The probe reduces the numerator rows mod PROBE_PRIME, and its rank never
     exceeds the exact rank, so a probe that reaches min(rows, cols) proves

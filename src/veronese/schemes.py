@@ -42,7 +42,6 @@ from typing import List, Sequence, Tuple, Union
 from .errors import InputError, UnsupportedComponentError
 from .forms import (
     MAX_MONOMIALS,
-    _clear_denominators,
     _contraction_plan,
     _jet_rows,
     _power_table,
@@ -57,6 +56,7 @@ from .forms import (
 )
 from .rationalla import (
     QMatrix,
+    _clear_denominators,
     _q,
     kernel_basis,
     membership_solve,
@@ -389,7 +389,7 @@ def hyperplane_basis(H: Hyperplane) -> QMatrix:
 
 
 def _trace_coordinates(K: QMatrix, point: Vector) -> Vector:
-    c = membership_solve(K, point)
+    _, c = membership_solve(K, point)
     if c is None:  # pragma: no cover - callers check containment first
         raise InputError("point does not lie on the hyperplane")
     return tuple(c)

@@ -271,6 +271,22 @@ def test_exit_2_on_a_form_with_negative_m_or_d(m, d, tmp_path, capsys):
         assert captured.err.startswith("input error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("literal", ["1e5000", "1E5", "-2.5e-3"])
+def test_exit_2_on_an_exponent_literal(literal, tmp_path, capsys):
+    """"1eN" builds 10^N, so exponent notation is refused at parse time in a
+    form file and in a scheme file: one stderr line, no traceback."""
+    form, scheme = tmp_path / "form.json", tmp_path / "scheme.json"
+    form.write_text(json.dumps({"m": 1, "d": 2, "coeffs": [literal, "0", "1"]}))
+    point = {"kind": "reduced", "point": [literal, "1", "0"]}
+    scheme.write_text(json.dumps({"m": 2, "components": [point]}))
+    for argv in (["sylvester", "--form", str(form)], ["h1", "3", "--scheme", str(scheme)]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", argv
+        assert captured.err.startswith("input error: ") and captured.err.count("\n") == 1
+        assert "exponent notation" in captured.err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -365,6 +365,25 @@ def test_flattening_proof_path(monkeypatch):
     assert _flattening_proof_orders(monkeypatch, 2, 9, [5, 1], 0) == ([2, 3], [2, 3])
 
 
+@pytest.mark.parametrize("what", ["certify", "stratum", "line-jet", "tangent"])
+def test_an_accepted_sample_probes_its_span_matrix_once(what, monkeypatch):
+    """One ``membership_solve`` proves the rank of the span matrix and gives
+    the target's coefficients, so no second probe proves the rank alone."""
+    m, d = 3, 9
+    Z, P, _ = construct_stratum_point(m, d, StratumLabel.make([2, 2, 1]), seed=0)
+    run = {
+        "certify": lambda: certify_border_rank(P, Z, d).scheme,
+        "stratum": lambda: construct_stratum_point(m, d, StratumLabel.make([2, 2, 1]), seed=1)[0],
+        "line-jet": lambda: construct_line_jet(m, d, 2, 1, seed=0)[0],
+        "tangent": lambda: construct_tangent_plus_points(m, d, 4, seed=0)[0],
+    }[what]
+    real, probed = rationalla._probe_pivots, []
+    monkeypatch.setattr(rationalla, "_probe_pivots", lambda M: probed.append(M) or real(M))
+    S = span_matrix(run(), d)
+    assert S.cols == comb(m + d, m)
+    assert sum(M == S for M in probed) == 1
+
+
 def test_certify_three_general_points():
     rng = random.Random(5)
     Z = SchemeSpec(2, tuple(random_reduced(rng, 2, 20) for _ in range(3)))
@@ -467,7 +486,7 @@ def curvilinear_targets(draw):
 @given(curvilinear_targets())
 def test_exclusion_reader_matches_brute_force(case):
     Z, d, P, dropped = case
-    coeffs = membership_solve(span_matrix(Z, d), P.coeffs)
+    _, coeffs = membership_solve(span_matrix(Z, d), P.coeffs)
     claim = _exclusion_claim(Z, coeffs)
     spans = proper_subscheme_spans(Z, d)
     assert claim.ranks == (len(spans),)

@@ -12,6 +12,7 @@ from veronese.rationalla import (
     QMatrix,
     _eliminate,
     _fold,
+    _q,
     _probe_pivots,
     kernel_basis,
     membership_solve,
@@ -102,20 +103,27 @@ def test_kernel_vectors_annihilate():
 
 
 def test_membership_identity_scaling_roundtrip():
-    assert membership_solve(QMatrix.identity(3), [1, 0, 0]) == [1, 0, 0]
-    assert membership_solve(QMatrix.from_rows([[2, -1, 5]]), [6, -3, 15]) == [3]
+    assert membership_solve(QMatrix.identity(3), [1, 0, 0]) == (3, [1, 0, 0])
+    assert membership_solve(QMatrix.from_rows([[2, -1, 5]]), [6, -3, 15]) == (1, [3])
     rng = random.Random(9)
     for _ in range(20):
         M = random_matrix(rng, 2, 5)
         if rank_exact(M) != 2:
             continue
         v = [2 * a - 5 * b for a, b in zip(M.row(0), M.row(1))]
-        assert membership_solve(M, v) == [2, -5]
+        assert membership_solve(M, v) == (2, [2, -5])
+
+
+def test_string_literals_are_p_over_q_or_decimal():
+    assert _q("-3/4") == Fraction(-3, 4) and _q(" 0.25 ") == Fraction(1, 4)
+    for literal in ("abc", "1/0", "1e5", "2.5E-3"):
+        with pytest.raises(InputError, match="bad rational literal"):
+            _q(literal)
 
 
 def test_membership_failure_and_mismatch():
     M = QMatrix.from_rows([[1, 0, 0]])
-    assert membership_solve(M, [0, 1, 0]) is None
+    assert membership_solve(M, [0, 1, 0]) == (1, None)
     with pytest.raises(InputError):
         membership_solve(M, [1, 0])
 
@@ -126,8 +134,9 @@ def test_membership_iff_rank_unchanged():
         M = random_matrix(rng, rng.randint(1, 5), rng.randint(2, 6))
         v = [Fraction(rng.randint(-50, 50)) for _ in range(M.cols)]
         appended = M.stack(QMatrix.from_rows([v]))
-        member = membership_solve(M, v) is not None
-        assert member == (rank_exact(appended) == rank_exact(M))
+        r, sol = membership_solve(M, v)
+        assert r == rank_exact(M)
+        assert (sol is not None) == (rank_exact(appended) == r)
 
 
 def _rational(rng):
@@ -220,7 +229,8 @@ def rational_matrices(draw):
 def test_kernel_and_membership_equal_rref_oracle(M, seed):
     """Equal to the rationals of elimination over Q, not merely valid: the
     same rank, kernel basis, coefficients (zero off the pivots) and None,
-    for M and for its transpose, with v inside and outside the row space and
+    and the rank membership_solve returns with them, for M and for its
+    transpose, with v inside and outside the row space and
     with one coordinate of the inside vector changed;
     the probe never exceeds the rank.  The numerator rows reduce to the
     reduced form of M times one common pivot, which holds only if every row
@@ -250,8 +260,8 @@ def test_kernel_and_membership_equal_rref_oracle(M, seed):
         if A.cols:
             nudged[rng.choice((A.cols - 1, rng.randrange(A.cols)))] += 1
         for v in (inside, outside, nudged):
-            assert membership_solve(A, v) == naive_membership(A, v)
-        assert membership_solve(A, inside) is not None
+            assert membership_solve(A, v) == (naive_rank(A), naive_membership(A, v))
+        assert membership_solve(A, inside)[1] is not None
 
 
 def test_rank_plus_kernel_dimension():

@@ -66,14 +66,24 @@ def test_every_imported_name_is_used():
     assert unused == []
 
 
-def test_only_rationalla_names_the_probe_prime():
-    """The probe's prime is one module's decision: no other module of the
-    package names PROBE_PRIME, so residues mod p are made in rationalla
-    only."""
-    word = re.compile(r"\bPROBE_PRIME\b")
-    naming = [
+def _modules_other_than_rationalla_naming(pattern: str) -> list[str]:
+    word = re.compile(pattern)
+    return [
         path.name
         for path in sorted(SRC.glob("*.py"))
         if path.name != "rationalla.py" and word.search(path.read_text(encoding="utf-8"))
     ]
-    assert naming == []
+
+
+def test_only_rationalla_names_the_probe_prime():
+    """The probe's prime is one module's decision: no other module of the
+    package names PROBE_PRIME, so residues mod p are made in rationalla
+    only."""
+    assert _modules_other_than_rationalla_naming(r"\bPROBE_PRIME\b") == []
+
+
+def test_only_rationalla_names_the_probe_and_the_elimination():
+    """The modular probe and the elimination loop are one module's engine:
+    no other module of the package names _probe_pivots or _eliminate, so
+    every rank and solve goes through rationalla's public functions."""
+    assert _modules_other_than_rationalla_naming(r"\b(_probe_pivots|_eliminate)\b") == []
