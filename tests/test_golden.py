@@ -163,6 +163,14 @@ LINE_CRITERION_COMMANDS = [
     "certify --point certify_p3_tangent_point.json --scheme certify_p3_tangent_scheme.json",
 ]
 
+# Witness roots a/b with b > 1 and at infinity, in a form with a common
+# denominator; recorded before the rational-root search and the squarefree
+# test ran on integer polynomials.
+SYLVESTER_ROOT_COMMANDS = [
+    "sylvester --form sylvester_fractional_root.json",
+    "sylvester --form sylvester_root_at_infinity.json",
+]
+
 CORPUS = (
     [f"{c} --seed {s}" for c in README_COMMANDS for s in (0, 1)]
     + FILE_COMMANDS
@@ -174,6 +182,7 @@ CORPUS = (
     + RESAMPLE_COMMANDS
     + CONIC_COMMANDS
     + LINE_CRITERION_COMMANDS
+    + SYLVESTER_ROOT_COMMANDS
 )
 
 
