@@ -7,6 +7,13 @@ degree-d forms s -> sum_j s^j g_j with independent g_j: the image of a
 line of P^m (D = d, g_j = C(d, j) (Q0.x)^(d-j) (V.x)^j) or of a smooth
 plane conic (D = 2d).  A relation among jets of such a curve is solved in
 these D+1 coordinates instead of the C(m+d, m) coordinates of P^m.
+
+Forms enter Sylvester's theorem as integer polynomials p(z), z = y1/y0, the
+coefficients over one common denominator.  Once y0 and y1 are seen to divide
+the form at most once, squarefreeness is one rank: the Sylvester matrix of p
+and p' is nonsingular.  Rational roots are candidates a/b, tested by an
+integer sum and divided out exactly; the divisors that give a and b are
+found by trial division, which refuses a number above MAX_DIVISOR_SEARCH.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, isqrt
 from typing import Optional, Sequence
 
 from .errors import InputError, InternalInconsistency
@@ -27,7 +34,14 @@ from .forms import (
     catalecticant_matrix,
     power_rows,
 )
-from .rationalla import QMatrix, _clear_denominators, kernel_basis, membership_solve, rank_exact
+from .rationalla import (
+    QMatrix,
+    _clear_denominators,
+    kernel_basis,
+    membership_solve,
+    rank_exact,
+    rank_with_fastpath,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -57,122 +71,95 @@ def curve_relations(divisors: Sequence[tuple[int, int]], D: int) -> list[list[Fr
 # Sylvester's theorem, apolar kernels, explicit decompositions
 
 
-def _poly_trim(p: list[Fraction]) -> list[Fraction]:
+MAX_DIVISOR_SEARCH = 10**13
+"""Largest |coefficient| whose divisors the rational-root search lists by
+trial division, at most 3.2 * 10^6 steps for each; a larger one is refused."""
+
+
+def _int_poly(h: Form) -> tuple[list[int], int]:
+    """(p, a) with h = c * y0^a * (homogenization of p(z)), z = y1/y0, for a
+    rational c > 0: p's integer coefficients over one common denominator,
+    that of z^j from y0^(d-j) y1^j, with no trailing zero."""
+    (p,), _ = _clear_denominators([h.coeffs])
     while p and p[-1] == 0:
         p.pop()
-    return p
-
-
-def _poly_deriv(p: list[Fraction]) -> list[Fraction]:
-    return [p[i] * i for i in range(1, len(p))]
-
-
-def _poly_divmod(a: list[Fraction], b: list[Fraction]):
-    a = a[:]
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b) and any(c != 0 for c in a):
-        if a[-1] == 0:
-            a.pop()
-            continue
-        shift = len(a) - len(b)
-        factor = a[-1] / b[-1]
-        q[shift] = factor
-        for i, c in enumerate(b):
-            a[shift + i] -= factor * c
-        a.pop()
-    return _poly_trim(q), _poly_trim(a)
-
-
-def _poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a, b = _poly_trim(a[:]), _poly_trim(b[:])
-    while b:
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
-
-
-def _dehomogenize(h: Form) -> tuple[list[Fraction], int]:
-    """Return (p, a) with h = y0^a * homogenization of p(z), z = y1/y0; the
-    coefficient of y0^(r-j) y1^j is that of z^j."""
-    p = _poly_trim(list(h.coeffs))
     return p, h.d - (len(p) - 1)
 
 
 def _binary_squarefree(h: Form) -> bool:
-    p, y0_mult = _dehomogenize(h)
-    if not p:
+    """y0 and y1 each divide h at most once, and the rest, p of degree n with
+    p(0) != 0, has no repeated root.  Since p' has degree exactly n - 1,
+    deg gcd(p, p') = 2n - 1 - the rank of their Sylvester matrix, so p is
+    squarefree when that matrix is nonsingular, which a full-rank modular
+    probe proves."""
+    p, y0_mult = _int_poly(h)
+    if not p or y0_mult >= 2 or p[:2] == [0, 0]:
         return False
-    if y0_mult >= 2:
-        return False
-    g = _poly_gcd(p, _poly_deriv(p))
-    return len(g) <= 1
+    p = p[1:] if p[0] == 0 else p
+    n = len(p) - 1
+    if n == 0:
+        return True
+    dp = [i * c for i, c in enumerate(p)][1:]
+    rows = [[0] * i + p + [0] * (n - 2 - i) for i in range(n - 1)]
+    rows += [[0] * i + dp + [0] * (n - 1 - i) for i in range(n)]
+    sylvester = QMatrix.from_ints(2 * n - 1, rows, [1] * (2 * n - 1))
+    return rank_with_fastpath(sylvester) == 2 * n - 1
 
 
-def _rational_roots(p: list[Fraction]) -> Optional[list[Fraction]]:
-    """All roots with multiplicity when p splits over Q, else None."""
-    p = _poly_trim(p[:])
-    if len(p) <= 1:
-        return []
-    roots = []
-    while p[0] == 0 and len(p) > 1:
-        roots.append(Fraction(0))
-        p = p[1:]
-    (ip,), _ = _clear_denominators([p])
-    while len(ip) > 1:
-        a0, an = ip[0], ip[-1]
-        if a0 == 0:
-            roots.append(Fraction(0))
-            ip = ip[1:]
-            continue
-        found = None
-        for pdiv in _divisors(abs(a0)):
-            for qdiv in _divisors(abs(an)):
-                for sign in (1, -1):
-                    cand = Fraction(sign * pdiv, qdiv)
-                    if _int_poly_eval(ip, cand) == 0:
-                        found = cand
-                        break
-                if found is not None:
-                    break
-            if found is not None:
-                break
+def _rational_roots(p: list[int]) -> Optional[list[Fraction]]:
+    """All roots with multiplicity when the integer polynomial p, with no
+    trailing zero, splits over Q, else None.
+
+    Zero roots come first.  Then a root a/b in lowest terms has a | p_0 and
+    b | p_n: a runs over the divisors of |p_0|, b over those of |p_n|, and
+    +a before -a, and a candidate is a root when sum_i p_i a^i b^(n-i) = 0.
+    The first root found is divided out and the search starts again on the
+    integer quotient.
+    """
+    zeros = next(i for i, c in enumerate(p) if c)
+    roots, p = [Fraction(0)] * zeros, p[zeros:]
+    while len(p) > 1:
+        nums, dens = _divisors(abs(p[0])), _divisors(abs(p[-1]))
+        pairs = ((a, b) for n in nums for b in dens if gcd(n, b) == 1 for a in (n, -n))
+        found = next((ab for ab in pairs if _homogeneous_value(p, *ab) == 0), None)
         if found is None:
             return None
-        ip = _int_poly_deflate(ip, found)
-        roots.append(found)
+        p = _int_poly_deflate(p, *found)
+        roots.append(Fraction(*found))
     return roots
 
 
 def _divisors(n: int) -> list[int]:
-    out = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.append(i)
-            if i != n // i:
-                out.append(n // i)
-        i += 1
-    return sorted(out)
+    """The positive divisors of n >= 1 in increasing order, by trial division
+    up to sqrt(n); refused above MAX_DIVISOR_SEARCH."""
+    if n > MAX_DIVISOR_SEARCH:
+        raise InputError(
+            f"rational-root search refused: a coefficient above {MAX_DIVISOR_SEARCH} "
+            "is too large to factor by trial division"
+        )
+    small = [i for i in range(1, isqrt(n) + 1) if n % i == 0]
+    return small + [n // i for i in reversed(small) if i * i != n]
 
 
-def _int_poly_eval(p: list[int], x: Fraction) -> Fraction:
-    acc = Fraction(0)
+def _homogeneous_value(p: list[int], a: int, b: int) -> int:
+    """sum_i p_i a^i b^(n-i), n = deg p: b^n p(a/b), zero exactly at a root."""
+    acc, bk = 0, 1
     for c in reversed(p):
-        acc = acc * x + c
+        acc = acc * a + c * bk
+        bk *= b
     return acc
 
 
-def _int_poly_deflate(p: list[int], root: Fraction) -> list[int]:
-    """Divide by (q z - p_num) after scaling; returns integer coefficients."""
-    frac = [Fraction(c) for c in p]
-    quot, rem = _poly_divmod(frac, [-root, Fraction(1)])
-    if rem:
-        raise InternalInconsistency(f"{root} is not a root of the polynomial")
-    (ip,), _ = _clear_denominators([quot])
-    return ip
+def _int_poly_deflate(p: list[int], a: int, b: int) -> list[int]:
+    """b q for p = (b z - a) q, a/b a root in lowest terms: the quotient of p
+    by (z - a/b), integral because q is (Gauss's lemma)."""
+    q = [0]  # q_n = 0, then q_(i-1) = (p_i + a q_i) / b down to q_0
+    for c in p[:0:-1]:
+        q.append((c + a * q[-1]) // b)
+    q = q[:0:-1]
+    if any(c != b * x - a * y for c, x, y in zip(p, [0] + q, q + [0])):
+        raise InternalInconsistency(f"{a}/{b} is not a root of the polynomial")
+    return [b * x for x in q]
 
 
 def _binary_projective_roots(h: Form) -> Optional[list[tuple[Fraction, Fraction]]]:
@@ -180,15 +167,13 @@ def _binary_projective_roots(h: Form) -> Optional[list[tuple[Fraction, Fraction]
     over the rationals; None otherwise."""
     if not _binary_squarefree(h):
         return None
-    p, y0_mult = _dehomogenize(h)
+    p, y0_mult = _int_poly(h)
     roots = _rational_roots(p)
     if roots is None:
         return None
     pts = [(Fraction(1), z) for z in roots]
     if y0_mult == 1:
         pts.append((Fraction(0), Fraction(1)))
-    if len(pts) != h.d or len(set(pts)) != len(pts):
-        return None
     return pts
 
 

@@ -90,7 +90,9 @@ PROBE_PRIME = (1 << 31) - 1  # the prime of ``modular_rank_probe``
 
 def _q(x) -> Fraction:
     """The package's one rational parser: "p/q" and decimal strings, but no
-    exponent notation, since "1eN" builds 10^N, which grows with N."""
+    exponent notation, since "1eN" builds 10^N, which grows with N, and no
+    reduced numerator or denominator with more digits than the interpreter
+    prints (``sys.get_int_max_str_digits``), as "0.00...01" can have."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
@@ -99,9 +101,12 @@ def _q(x) -> Fraction:
         if "e" in x or "E" in x:
             raise InputError(f"bad rational literal {x!r}: exponent notation is not accepted")
         try:
-            return Fraction(x)
+            q = Fraction(x)
+            str(q)  # ValueError past sys.get_int_max_str_digits()
         except (ValueError, ZeroDivisionError) as e:
-            raise InputError(f"bad rational literal {x!r}: {e}") from None
+            shown = x if len(x) <= 40 else x[:40] + f"... ({len(x)} characters)"
+            raise InputError(f"bad rational literal {shown!r}: {e}") from None
+        return q
     raise InputError(f"not an exact rational: {x!r}")
 
 

@@ -5,7 +5,9 @@ membership via plain rational Gauss-Jordan elimination with pivot
 normalization, the modular rank via Gaussian elimination on lists of
 residues mod p, polynomial arithmetic (powers, power sums, products,
 substitution) via a naive exponent-dictionary convolution in Fractions,
-partition counting via the Euler recurrence.  Two exceptions
+binary squarefreeness, rational roots and their deflation via Euclid and
+long division of polynomials over Fractions, partition counting via the
+Euler recurrence.  Two exceptions
 must make the library's own choices: the binary Waring-rank search picks
 the same witness, so it walks the library's apolar kernel bases in its
 candidate order, and the (2,3)-point rows use the library's completion of
@@ -21,7 +23,7 @@ reference for the degree-3 linear-position predicate.
 
 import itertools
 from fractions import Fraction
-from math import comb
+from math import comb, isqrt, lcm
 
 from veronese.forms import Form, LinearForm
 from veronese.rationalla import QMatrix
@@ -330,49 +332,123 @@ def fat_point_rows_oracle(point, k: int, m: int, d: int):
     return rows
 
 
+def _naive_trim(p: list) -> list:
+    p = list(p)
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def naive_poly_divmod(a: list, b: list) -> tuple[list, list]:
+    """Quotient and remainder of polynomials (coefficient j on z^j) by long
+    division over Fractions; b has no trailing zero."""
+    a = [Fraction(x) for x in _naive_trim(a)]
+    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    while len(a) >= len(b):
+        factor = a[-1] / b[-1]
+        shift = len(a) - len(b)
+        q[shift] = factor
+        for i, c in enumerate(b):
+            a[shift + i] -= factor * c
+        a = _naive_trim(a[:-1])
+    return _naive_trim(q), a
+
+
+def naive_poly_gcd(a: list, b: list) -> list:
+    """Monic gcd by Euclid over Fractions; [] when both are zero."""
+    a, b = _naive_trim(a), _naive_trim(b)
+    while b:
+        a, b = b, naive_poly_divmod(a, b)[1]
+    return [Fraction(c) / a[-1] for c in a] if a else a
+
+
+def naive_dehomogenize(h) -> tuple[list, int]:
+    """(p, a) with h = y0^a * homogenization of p(z), z = y1/y0."""
+    p = _naive_trim(h.coeffs)
+    return p, h.d - (len(p) - 1)
+
+
+def naive_binary_squarefree(h) -> bool:
+    """y0 divides h at most once and gcd(p, p') is a constant, by Euclid."""
+    p, y0_mult = naive_dehomogenize(h)
+    if not p or y0_mult >= 2:
+        return False
+    return len(naive_poly_gcd(p, [i * c for i, c in enumerate(p)][1:])) <= 1
+
+
+def _naive_divisors(n: int) -> list[int]:
+    return sorted({e for i in range(1, isqrt(n) + 1) if n % i == 0 for e in (i, n // i)})
+
+
+def naive_deflate(p: list[int], root: Fraction) -> list[int]:
+    """p / (z - root) over Fractions, its denominators cleared by their lcm."""
+    quot, rem = naive_poly_divmod(p, [-root, Fraction(1)])
+    assert not rem, f"{root} is not a root"
+    D = lcm(*[x.denominator for x in quot])
+    return [int(x * D) for x in quot]
+
+
+def naive_rational_roots(p: list):
+    """Every root with multiplicity when p splits over Q, else None: zero
+    roots first, then the rational root test over Fractions, candidate
+    sign * (divisor of |p_0|) / (divisor of |p_n|) in that loop order, + before -,
+    each root divided out by Fraction long division and the quotient's
+    denominators cleared."""
+    p = _naive_trim(p)
+    roots = []
+    while len(p) > 1 and p[0] == 0:
+        roots.append(Fraction(0))
+        p = p[1:]
+    D = lcm(*[Fraction(x).denominator for x in p])
+    ip = [int(Fraction(x) * D) for x in p]
+    while len(ip) > 1:
+        cands = (
+            Fraction(sign * num, den)
+            for num in _naive_divisors(abs(ip[0]))
+            for den in _naive_divisors(abs(ip[-1]))
+            for sign in (1, -1)
+        )
+        root = next((z for z in cands if sum(c * z**i for i, c in enumerate(ip)) == 0), None)
+        if root is None:
+            return None
+        ip = naive_deflate(ip, root)
+        roots.append(root)
+    return roots
+
+
 def _gcd_squarefree(forms) -> bool:
     """Is the gcd of the given binary forms squarefree?"""
-    from veronese.binary import _dehomogenize, _poly_deriv, _poly_gcd
-
-    polys, y0_mults = [], []
-    for h in forms:
-        p, a = _dehomogenize(h)
-        polys.append(p)
-        y0_mults.append(a)
+    polys, y0_mults = zip(*map(naive_dehomogenize, forms))
     if min(y0_mults) >= 2:
         return False
     g = polys[0]
     for p in polys[1:]:
-        g = _poly_gcd(g, p)
+        g = naive_poly_gcd(g, p)
         if len(g) <= 1:
             return True
-    gg = _poly_gcd(g, _poly_deriv(g))
-    return len(gg) <= 1
+    return len(naive_poly_gcd(g, [i * c for i, c in enumerate(g)][1:])) <= 1
 
 
 def sylvester_rank_oracle(f):
     """(rank, witness) of a binary form of degree >= 2 by the search over
     r = 1..d: the rank is the least r whose apolar kernel holds a squarefree
     form, skipping kernels of dimension >= 2 whose gcd has a repeated factor;
-    the witness is the first squarefree kernel candidate."""
-    from veronese.binary import (
-        _apolar_kernel,
-        _binary_squarefree,
-        _kernel_candidates,
-    )
+    the witness is the first squarefree kernel candidate.  Squarefreeness is
+    decided by Euclid over Fractions (``naive_binary_squarefree``)."""
+    from veronese.binary import _apolar_kernel, _kernel_candidates
 
     for r in range(1, f.d + 1):
         kernel = _apolar_kernel(f, r)
         if not kernel:
             continue
         if len(kernel) == 1:
-            if _binary_squarefree(kernel[0]):
+            if naive_binary_squarefree(kernel[0]):
                 return r, kernel[0]
             continue
         if not _gcd_squarefree(kernel):
             continue
         for cand in _kernel_candidates(kernel):
-            if _binary_squarefree(cand):
+            if naive_binary_squarefree(cand):
                 return r, cand
         raise AssertionError("kernel with squarefree gcd but no squarefree candidate")
     raise AssertionError("no squarefree apolar form up to degree d")

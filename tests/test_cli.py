@@ -149,6 +149,9 @@ def test_exit_2_on_malformed_json(tmp_path, capsys):
         ("sylvester", json.dumps({"m": 1, "d": 2, "coeffs": [True, "0", "1"]})),
         # a string is not read character by character as a list
         ("sylvester", json.dumps({"m": 1, "d": 2, "coeffs": "101"})),
+        # 1/10^4300 has a denominator of 4301 digits, past the interpreter's
+        # limit on integer-to-string conversion
+        ("sylvester", json.dumps({"m": 1, "d": 1, "coeffs": ["0." + "0" * 4299 + "1", "1"]})),
     ]
     p = tmp_path / "bad.json"
     for command, text in cases:
@@ -159,6 +162,7 @@ def test_exit_2_on_malformed_json(tmp_path, capsys):
             code = main(["sylvester", "--form", str(p)])
         err = capsys.readouterr().err
         assert code == 2 and "input error" in err, text
+        assert err.count("\n") == 1, text
 
 
 def test_exit_2_on_invariant_violation(tmp_path, capsys):
