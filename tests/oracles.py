@@ -390,10 +390,10 @@ def naive_deflate(p: list[int], root: Fraction) -> list[int]:
 
 def naive_rational_roots(p: list):
     """Every root with multiplicity when p splits over Q, else None: zero
-    roots first, then the rational root test over Fractions, candidate
-    sign * (divisor of |p_0|) / (divisor of |p_n|) in that loop order, + before -,
-    each root divided out by Fraction long division and the quotient's
-    denominators cleared."""
+    roots first, then the rational root test over Fractions, the candidates
+    sign * (divisor of |p_0|) / (divisor of |p_n|) in that loop order, +
+    before -, each root divided out by Fraction long division and the
+    quotient's denominators cleared."""
     p = _naive_trim(p)
     roots = []
     while len(p) > 1 and p[0] == 0:
