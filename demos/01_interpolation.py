@@ -5,28 +5,35 @@ conditions on degree-d forms or fails by a measurable amount h1.  Everything
 below is exact rational arithmetic; no tolerances anywhere.
 """
 
-import random
 from fractions import Fraction
 
 from veronese.schemes import (
     FatPoint,
-    Hyperplane,
+    Jet,
     Reduced,
     SchemeSpec,
-    castelnuovo_check,
     conditions_matrix,
     h1,
-    random_scheme,
-    residual_trace_split,
     scheme_degree,
 )
 
-rng = random.Random(0)
 
-# Any scheme of degree at most d+1 imposes independent conditions.
-print("random schemes of degree <= d+1 in the plane, d = 6:")
-for _ in range(5):
-    Z = random_scheme(rng, 2, 7, bound=9)
+def vec(*xs):
+    return tuple(Fraction(x) for x in xs)
+
+
+# Any scheme of degree at most d+1 imposes independent conditions: a length-5
+# jet of the conic (1, t, t^2); a point and two double points; a double
+# point, a tangent vector and a point.
+zero = vec(0, 0, 0)
+examples = [
+    (Jet((vec(1, 0, 0), vec(0, 1, 0), vec(0, 0, 1), zero, zero)),),
+    (Reduced(vec(-6, -1, 8)), FatPoint(vec(0, -6, -7), 2), FatPoint(vec(6, 8, -6), 2)),
+    (FatPoint(vec(-7, 3, -9), 2), Jet((vec(1, -7, -3), vec(9, -2, -2))), Reduced(vec(8, 5, -7))),
+]
+print("schemes of degree <= d+1 in the plane, d = 6:")
+for comps in examples:
+    Z = SchemeSpec(2, comps)
     print(f"  degree {scheme_degree(Z):2d}  h1 = {h1(Z, 6)}")
 
 # The first failure: d+2 points on a line are one condition short.
@@ -45,12 +52,3 @@ pts = [(1, 1, 1), (1, -1, 2), (2, 1, -1), (1, 3, 1), (3, -1, 1), (1, 2, 5)]
 comps += [FatPoint(tuple(Fraction(c) for c in p), 2) for p in pts]
 Z = SchemeSpec(2, tuple(comps))
 print(f"\ntriple + 6 doubles at d = 6: degree {scheme_degree(Z)}, h1 = {h1(Z, 6)}")
-
-# Residual splitting along a hyperplane and the resulting inequality.
-H = Hyperplane((Fraction(0), Fraction(0), Fraction(1)))
-Z = SchemeSpec(2, (FatPoint((Fraction(1), Fraction(2), Fraction(0)), 3),))
-res, tra = residual_trace_split(Z, H)
-print("\ntriple point on the line x2 = 0:")
-print(f"  residual degree {scheme_degree(res)} (a double point)")
-print(f"  trace degree    {scheme_degree(tra)} (a triple point of the line)")
-print(f"  h1 inequality holds: {castelnuovo_check(Z, H, 4)}")

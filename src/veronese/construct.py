@@ -70,7 +70,6 @@ from .schemes import (
     Reduced,
     SchemeSpec,
     TwoThreePoint,
-    _dependent,
     assemble_scheme,
     h1,
     linearly_general,
@@ -318,12 +317,8 @@ def _sample_jet_on_line(
     give independent Vandermonde rows, so every relation has a nonzero jet
     part.  Only Q is expanded in the degree-d basis of P^m.
     """
-    Q0 = random_vector(rng, m, bound)
-    V = random_vector(rng, m, bound)
-    if _dependent(Q0, V):
-        return None
-    zero = tuple(Fraction(0) for _ in range(m + 1))
-    jet = Jet((Q0, V) + (zero,) * (k - 2))
+    jet = random_jet_on_line(rng, m, bound, k)
+    Q0, V = jet.curve[:2]
     pts = []
     for _ in range(s):
         p = random_vector(rng, m, bound)

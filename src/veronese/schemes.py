@@ -46,7 +46,6 @@ from .forms import (
     _jet_rows,
     _power_table,
     _span_rows,
-    _tmul,
     monomial_basis,
     monomial_index,
     int_from_json,
@@ -57,9 +56,6 @@ from .forms import (
 from .rationalla import (
     QMatrix,
     _clear_denominators,
-    _q,
-    kernel_basis,
-    membership_solve,
     rank_exact,
     rank_with_fastpath,
 )
@@ -72,8 +68,11 @@ def _vec_from_json(xs, what: str) -> Vector:
 
 
 def _dependent(u: Sequence[Fraction], v: Sequence[Fraction]) -> bool:
-    """Rank of (u; v) is at most 1: every 2x2 minor u_i v_j - u_j v_i is 0."""
+    """Rank of (u; v) is at most 1: every 2x2 minor u_i v_j - u_j v_i is 0.
+    Vectors of unequal length are refused."""
     n = len(u)
+    if len(v) != n:
+        raise InputError(f"vectors of unequal length {n} and {len(v)}")
     return all(u[i] * v[j] == u[j] * v[i] for i in range(n) for j in range(i + 1, n))
 
 
@@ -168,7 +167,7 @@ Component = Union[Reduced, Jet, FatPoint, TwoThreePoint]
 class SchemeSpec:
     """A disjoint union of components in P^m (supports pairwise distinct).
 
-    The empty scheme is allowed; residual splitting produces it naturally.
+    The empty scheme is allowed.
     """
 
     m: int
@@ -195,22 +194,6 @@ class SchemeSpec:
         if shared:
             i, j = min(shared)[:2]
             raise InputError(f"components {i} and {j} share a support")
-
-
-@dataclass(frozen=True)
-class Hyperplane:
-    coeffs: Vector
-
-    def __post_init__(self):
-        if all(c == 0 for c in self.coeffs):
-            raise InputError("hyperplane must be nonzero")
-
-    @property
-    def m(self) -> int:
-        return len(self.coeffs) - 1
-
-    def contains(self, point: Sequence[Fraction]) -> bool:
-        return sum(a * b for a, b in zip(self.coeffs, point)) == 0
 
 
 def scheme_degree(Z: SchemeSpec) -> int:
@@ -382,72 +365,6 @@ def h1(Z: SchemeSpec, d: int) -> int:
     return scheme_degree(Z) - rank_with_fastpath(conditions_matrix(Z, d))
 
 
-def hyperplane_basis(H: Hyperplane) -> QMatrix:
-    """Deterministic m x (m+1) matrix whose rows span the hyperplane."""
-    vecs = kernel_basis(QMatrix.from_rows([H.coeffs]))
-    return QMatrix.from_rows(vecs)
-
-
-def _trace_coordinates(K: QMatrix, point: Vector) -> Vector:
-    _, c = membership_solve(K, point)
-    if c is None:  # pragma: no cover - callers check containment first
-        raise InputError("point does not lie on the hyperplane")
-    return tuple(c)
-
-
-def residual_trace_split(
-    Z: SchemeSpec, H: Hyperplane
-) -> tuple[SchemeSpec, SchemeSpec]:
-    """Split Z into its residual with respect to H and its trace on H.
-
-    Components off H move unchanged into the residual.  A reduced point on H
-    disappears from the residual; a fat point of multiplicity k on H drops to
-    multiplicity k-1 (a reduced point when k-1 = 1).  The trace collects the
-    components supported on H, re-expressed in intrinsic coordinates of
-    H = P^(m-1): reduced points stay reduced, fat points keep their
-    multiplicity.  Jets and (2,3)-points meeting H are not handled.
-    """
-    if H.m != Z.m:
-        raise InputError("hyperplane/scheme ambient mismatch")
-    if Z.m < 2:
-        raise InputError("residual split needs m >= 2")
-    K = hyperplane_basis(H)
-    res: list[Component] = []
-    tra: list[Component] = []
-    for i, comp in enumerate(Z.components):
-        on_h = H.contains(comp.support)
-        if not on_h:
-            res.append(comp)
-            continue
-        if isinstance(comp, Reduced):
-            tra.append(Reduced(_trace_coordinates(K, comp.point)))
-        elif isinstance(comp, FatPoint):
-            k = comp.multiplicity
-            if k - 1 == 1:
-                res.append(Reduced(comp.point))
-            else:
-                res.append(FatPoint(comp.point, k - 1))
-            tpt = _trace_coordinates(K, comp.point)
-            tra.append(FatPoint(tpt, k))
-        else:
-            raise UnsupportedComponentError(
-                f"component {i} ({type(comp).__name__}) meets the hyperplane"
-            )
-    return SchemeSpec(Z.m, tuple(res)), SchemeSpec(Z.m - 1, tuple(tra))
-
-
-def castelnuovo_check(Z: SchemeSpec, H: Hyperplane, d: int) -> bool:
-    """Exactness self-test: h1(Z, d) <= h1(Res_H Z, d-1) + h1(Z on H, d).
-
-    The inequality is a theorem (long exact sequence of the residual
-    sequence), so this must return True on every valid input.
-    """
-    if d < 2:
-        raise InputError("castelnuovo_check needs d >= 2")
-    res, tra = residual_trace_split(Z, H)
-    return h1(Z, d) <= h1(res, d - 1) + h1(tra, d)
-
-
 def linearly_general(Z: SchemeSpec, k: int) -> bool:
     """Every degree-k subscheme of a curvilinear Z spans a P^(k-1).
 
@@ -478,31 +395,6 @@ def linearly_general(Z: SchemeSpec, k: int) -> bool:
     return rec(0, k, [])
 
 
-def reparametrize_jet(jet: Jet, u, v) -> Jet:
-    """Replace the jet parameter t by u*t + v*t^2 (u != 0), truncated to the
-    jet length.  The underlying scheme, hence the span row space, is
-    unchanged."""
-    u, v = _q(u), _q(v)
-    if u == 0:
-        raise InputError("reparametrization needs u != 0")
-    k = jet.length
-    phi = [Fraction(0), u, v]
-    power = [Fraction(1)] + [Fraction(0)] * (k - 1)
-    new_coords = [[Fraction(0)] * k for _ in range(len(jet.curve[0]))]
-    for j, cj in enumerate(jet.curve):
-        if j > 0:
-            power = _tmul(power, phi, k)
-        for i, ci in enumerate(cj):
-            if ci == 0:
-                continue
-            for s in range(k):
-                new_coords[i][s] += ci * power[s]
-    curve = tuple(
-        tuple(new_coords[i][s] for i in range(len(new_coords))) for s in range(k)
-    )
-    return Jet(curve)
-
-
 # ---------------------------------------------------------------------------
 # random configurations (explicit generator, integer coordinates in [-B, B])
 
@@ -523,7 +415,9 @@ def random_reduced(rng: random.Random, m: int, bound: int) -> Reduced:
 def random_jet_on_line(
     rng: random.Random, m: int, bound: int, length: int
 ) -> Jet:
-    """Length-k jet on a random line: c(t) = Q + t V with V independent of Q."""
+    """Length-k jet on a random line: c(t) = Q + t V, with Q and V drawn
+    again until they are independent.  Every random line of the package
+    (line jets, tangent vectors, (2,3)-points) is drawn here."""
     while True:
         q = random_vector(rng, m, bound)
         v = random_vector(rng, m, bound)
@@ -557,26 +451,7 @@ def random_fat_point(rng: random.Random, m: int, bound: int, k: int) -> FatPoint
 
 
 def random_two_three(rng: random.Random, m: int, bound: int) -> TwoThreePoint:
-    while True:
-        q = random_vector(rng, m, bound)
-        v = random_vector(rng, m, bound)
-        if not _dependent(q, v):
-            return TwoThreePoint(q, v)
-
-
-def random_hyperplane(rng: random.Random, m: int, bound: int) -> Hyperplane:
-    return Hyperplane(random_vector(rng, m, bound))
-
-
-def random_point_on_hyperplane(
-    rng: random.Random, H: Hyperplane, bound: int
-) -> Vector:
-    K = hyperplane_basis(H).to_rows()
-    while True:
-        coeffs = [Fraction(rng.randint(-bound, bound)) for _ in range(len(K))]
-        pt = tuple(sum(c * x for c, x in zip(coeffs, col)) for col in zip(*K))
-        if any(x != 0 for x in pt):
-            return pt
+    return TwoThreePoint(*random_jet_on_line(rng, m, bound, 2).curve)
 
 
 def assemble_scheme(m: int, components: Sequence[Component]):
@@ -585,57 +460,6 @@ def assemble_scheme(m: int, components: Sequence[Component]):
         return SchemeSpec(m, tuple(components))
     except InputError:
         return None
-
-
-def random_scheme(
-    rng: random.Random,
-    m: int,
-    max_degree: int,
-    bound: int = 50,
-    kinds: Sequence[str] = ("reduced", "jet", "fat"),
-) -> SchemeSpec:
-    """Random mixed scheme of total degree <= max_degree, distinct supports."""
-    while True:
-        components: list[Component] = []
-        budget = max_degree
-        degree_used = 0
-        while budget >= 1:
-            options = ["reduced"] if "reduced" in kinds else []
-            if "jet" in kinds and budget >= 2:
-                options.append("jet")
-            if "fat" in kinds and comb(m + 1, m) <= budget:
-                options.append("fat")
-            if "two_three" in kinds and 2 * m + 1 <= budget:
-                options.append("two_three")
-            if not options:
-                break
-            kind = rng.choice(options)
-            if kind == "reduced":
-                comp: Component = random_reduced(rng, m, bound)
-            elif kind == "jet":
-                length = rng.randint(2, budget)
-                # the draw comes first, so P^1 keeps every other draw sequence
-                if length >= 3 and rng.random() < 0.5 and m >= 2:
-                    comp = random_jet_on_conic(rng, m, bound, length)
-                else:
-                    comp = random_jet_on_line(rng, m, bound, length)
-            elif kind == "fat":
-                kmax = 2
-                while comb(m + kmax, m) <= budget:
-                    kmax += 1
-                comp = random_fat_point(rng, m, bound, rng.randint(2, kmax))
-            else:
-                comp = random_two_three(rng, m, bound)
-            components.append(comp)
-            degree_used += comp.degree(m)
-            budget = max_degree - degree_used
-            if rng.random() < 0.25:
-                break
-        if not components:
-            continue
-        spec = assemble_scheme(m, components)
-        if spec is not None:
-            return spec
 
 
 # ---------------------------------------------------------------------------

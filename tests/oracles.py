@@ -7,11 +7,12 @@ residues mod p, polynomial arithmetic (powers, power sums, products,
 substitution) via a naive exponent-dictionary convolution in Fractions,
 binary squarefreeness, rational roots and their deflation via Euclid and
 long division of polynomials over Fractions, partition counting via the
-Euler recurrence.  Two exceptions
+Euler recurrence.  One exception
 must make the library's own choices: the binary Waring-rank search picks
 the same witness, so it walks the library's apolar kernel bases in its
-candidate order, and the (2,3)-point rows use the library's completion of
-the point and the line direction to a basis.  The proper-subscheme spans
+candidate order.  The (2,3)-point rows complete the point and the line
+direction to a basis greedily by standard vectors, as the library does, but
+decide each step with ``naive_rank``.  The proper-subscheme spans
 truncate the components themselves and build each span with the library's
 ``span_matrix``; they are the brute-force reference for reading exclusion
 off one solve.  The span intersection is the ambient reference for the
@@ -19,15 +20,40 @@ relations solved in a rational curve's own coordinates.  The line criterion
 reads the intersection degree of a curvilinear scheme with each candidate
 line off the vanishing orders of the line's naive kernel forms, the
 reference for the degree-3 linear-position predicate.
+
+The last section is not an oracle: it holds scheme helpers that no command
+of the package uses (hyperplanes, residual/trace splitting and the
+Castelnuovo inequality check, jet reparametrization and a random
+mixed-scheme generator).  They run on the package's h1 and linear algebra
+and feed the property suites.
 """
 
 import itertools
+import random
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isqrt, lcm
+from typing import Sequence
 
-from veronese.forms import Form, LinearForm
-from veronese.rationalla import QMatrix
-from veronese.schemes import Jet, Reduced, SchemeSpec, span_matrix
+from veronese.errors import InputError, UnsupportedComponentError
+from veronese.forms import Form, LinearForm, _tmul
+from veronese.rationalla import QMatrix, _q, kernel_basis, membership_solve
+from veronese.schemes import (
+    Component,
+    FatPoint,
+    Jet,
+    Reduced,
+    SchemeSpec,
+    assemble_scheme,
+    h1,
+    random_fat_point,
+    random_jet_on_conic,
+    random_jet_on_line,
+    random_reduced,
+    random_two_three,
+    random_vector,
+    span_matrix,
+)
 
 
 def naive_rank(M: QMatrix) -> int:
@@ -483,17 +509,26 @@ def directional_row_oracle(m: int, d: int, dirs, point):
     return row
 
 
+def _naive_complete_basis(m: int, vectors) -> list:
+    """Extend independent vectors to a basis of Q^(m+1) by standard basis
+    vectors, greedily in index order, each kept when ``naive_rank`` grows."""
+    chosen = list(vectors)
+    for i in range(m + 1):
+        e = tuple(Fraction(int(j == i)) for j in range(m + 1))
+        if len(chosen) <= m and naive_rank(QMatrix.from_rows(chosen + [e])) > len(chosen):
+            chosen.append(e)
+    return chosen
+
+
 def two_three_rows_oracle(point, direction, m: int, d: int):
     """Conditions rows of the (2,3)-point at Q = point on the line of
     direction V: the functionals (), (V), (V, V), then (w), (V, w) for each
     w that completes Q, V to a basis (standard vectors, greedily in index
     order), each evaluated at Q."""
-    from veronese.schemes import _complete_basis
-
     Q = tuple(Fraction(x) for x in point)
     V = tuple(Fraction(x) for x in direction)
     functionals = [(), (V,), (V, V)]
-    for w in _complete_basis(m, [Q, V])[2:]:
+    for w in _naive_complete_basis(m, [Q, V])[2:]:
         functionals.append((w,))
         functionals.append((V, w))
     return [directional_row_oracle(m, d, dirs, Q) for dirs in functionals]
@@ -543,3 +578,181 @@ def line_condition_oracle(Z: SchemeSpec) -> bool:
     lines = list(itertools.combinations([c.support for c in Z.components], 2))
     lines += [c.curve[:2] for c in Z.components if isinstance(c, Jet)]
     return all(_line_degree_oracle(Z, a, b) <= 2 for a, b in lines)
+
+
+# ---------------------------------------------------------------------------
+# scheme helpers outside the package: hyperplanes, residuals, reparametrized
+# jets and random mixed schemes
+
+
+@dataclass(frozen=True)
+class Hyperplane:
+    coeffs: tuple
+
+    def __post_init__(self):
+        if all(c == 0 for c in self.coeffs):
+            raise InputError("hyperplane must be nonzero")
+
+    @property
+    def m(self) -> int:
+        return len(self.coeffs) - 1
+
+    def contains(self, point: Sequence[Fraction]) -> bool:
+        return sum(a * b for a, b in zip(self.coeffs, point)) == 0
+
+
+def hyperplane_basis(H: Hyperplane) -> QMatrix:
+    """Deterministic m x (m+1) matrix whose rows span the hyperplane."""
+    vecs = kernel_basis(QMatrix.from_rows([H.coeffs]))
+    return QMatrix.from_rows(vecs)
+
+
+def _trace_coordinates(K: QMatrix, point) -> tuple:
+    _, c = membership_solve(K, point)
+    if c is None:  # pragma: no cover - callers check containment first
+        raise InputError("point does not lie on the hyperplane")
+    return tuple(c)
+
+
+def residual_trace_split(
+    Z: SchemeSpec, H: Hyperplane
+) -> tuple[SchemeSpec, SchemeSpec]:
+    """Split Z into its residual with respect to H and its trace on H.
+
+    Components off H move unchanged into the residual.  A reduced point on H
+    disappears from the residual; a fat point of multiplicity k on H drops to
+    multiplicity k-1 (a reduced point when k-1 = 1).  The trace collects the
+    components supported on H, re-expressed in intrinsic coordinates of
+    H = P^(m-1): reduced points stay reduced, fat points keep their
+    multiplicity.  Jets and (2,3)-points meeting H are not handled.
+    """
+    if H.m != Z.m:
+        raise InputError("hyperplane/scheme ambient mismatch")
+    if Z.m < 2:
+        raise InputError("residual split needs m >= 2")
+    K = hyperplane_basis(H)
+    res: list[Component] = []
+    tra: list[Component] = []
+    for i, comp in enumerate(Z.components):
+        on_h = H.contains(comp.support)
+        if not on_h:
+            res.append(comp)
+            continue
+        if isinstance(comp, Reduced):
+            tra.append(Reduced(_trace_coordinates(K, comp.point)))
+        elif isinstance(comp, FatPoint):
+            k = comp.multiplicity
+            if k - 1 == 1:
+                res.append(Reduced(comp.point))
+            else:
+                res.append(FatPoint(comp.point, k - 1))
+            tpt = _trace_coordinates(K, comp.point)
+            tra.append(FatPoint(tpt, k))
+        else:
+            raise UnsupportedComponentError(
+                f"component {i} ({type(comp).__name__}) meets the hyperplane"
+            )
+    return SchemeSpec(Z.m, tuple(res)), SchemeSpec(Z.m - 1, tuple(tra))
+
+
+def castelnuovo_check(Z: SchemeSpec, H: Hyperplane, d: int) -> bool:
+    """Exactness self-test: h1(Z, d) <= h1(Res_H Z, d-1) + h1(Z on H, d).
+
+    The inequality is a theorem (long exact sequence of the residual
+    sequence), so this must return True on every valid input.
+    """
+    if d < 2:
+        raise InputError("castelnuovo_check needs d >= 2")
+    res, tra = residual_trace_split(Z, H)
+    return h1(Z, d) <= h1(res, d - 1) + h1(tra, d)
+
+
+def reparametrize_jet(jet: Jet, u, v) -> Jet:
+    """Replace the jet parameter t by u*t + v*t^2 (u != 0), truncated to the
+    jet length.  The underlying scheme, hence the span row space, is
+    unchanged."""
+    u, v = _q(u), _q(v)
+    if u == 0:
+        raise InputError("reparametrization needs u != 0")
+    k = jet.length
+    phi = [Fraction(0), u, v]
+    power = [Fraction(1)] + [Fraction(0)] * (k - 1)
+    new_coords = [[Fraction(0)] * k for _ in range(len(jet.curve[0]))]
+    for j, cj in enumerate(jet.curve):
+        if j > 0:
+            power = _tmul(power, phi, k)
+        for i, ci in enumerate(cj):
+            if ci == 0:
+                continue
+            for s in range(k):
+                new_coords[i][s] += ci * power[s]
+    curve = tuple(
+        tuple(new_coords[i][s] for i in range(len(new_coords))) for s in range(k)
+    )
+    return Jet(curve)
+
+
+def random_hyperplane(rng: random.Random, m: int, bound: int) -> Hyperplane:
+    return Hyperplane(random_vector(rng, m, bound))
+
+
+def random_point_on_hyperplane(
+    rng: random.Random, H: Hyperplane, bound: int
+) -> tuple:
+    K = hyperplane_basis(H).to_rows()
+    while True:
+        coeffs = [Fraction(rng.randint(-bound, bound)) for _ in range(len(K))]
+        pt = tuple(sum(c * x for c, x in zip(coeffs, col)) for col in zip(*K))
+        if any(x != 0 for x in pt):
+            return pt
+
+
+def random_scheme(
+    rng: random.Random,
+    m: int,
+    max_degree: int,
+    bound: int = 50,
+    kinds: Sequence[str] = ("reduced", "jet", "fat"),
+) -> SchemeSpec:
+    """Random mixed scheme of total degree <= max_degree, distinct supports."""
+    while True:
+        components: list[Component] = []
+        budget = max_degree
+        degree_used = 0
+        while budget >= 1:
+            options = ["reduced"] if "reduced" in kinds else []
+            if "jet" in kinds and budget >= 2:
+                options.append("jet")
+            if "fat" in kinds and comb(m + 1, m) <= budget:
+                options.append("fat")
+            if "two_three" in kinds and 2 * m + 1 <= budget:
+                options.append("two_three")
+            if not options:
+                break
+            kind = rng.choice(options)
+            if kind == "reduced":
+                comp: Component = random_reduced(rng, m, bound)
+            elif kind == "jet":
+                length = rng.randint(2, budget)
+                # the draw comes first, so P^1 keeps every other draw sequence
+                if length >= 3 and rng.random() < 0.5 and m >= 2:
+                    comp = random_jet_on_conic(rng, m, bound, length)
+                else:
+                    comp = random_jet_on_line(rng, m, bound, length)
+            elif kind == "fat":
+                kmax = 2
+                while comb(m + kmax, m) <= budget:
+                    kmax += 1
+                comp = random_fat_point(rng, m, bound, rng.randint(2, kmax))
+            else:
+                comp = random_two_three(rng, m, bound)
+            components.append(comp)
+            degree_used += comp.degree(m)
+            budget = max_degree - degree_used
+            if rng.random() < 0.25:
+                break
+        if not components:
+            continue
+        spec = assemble_scheme(m, components)
+        if spec is not None:
+            return spec

@@ -10,7 +10,18 @@ from contextlib import contextmanager
 from fractions import Fraction
 from math import comb
 
-from oracles import naive_membership, naive_rank, proper_subscheme_spans, substitute
+from oracles import (
+    Hyperplane,
+    castelnuovo_check,
+    naive_membership,
+    naive_rank,
+    proper_subscheme_spans,
+    random_hyperplane,
+    random_point_on_hyperplane,
+    random_scheme,
+    reparametrize_jet,
+    substitute,
+)
 from veronese.binary import sylvester_binary
 from veronese.construct import (
     construct_conic_double,
@@ -25,19 +36,13 @@ from veronese.forms import LinearForm, power_expand, product_expand
 from veronese.rationalla import QMatrix, rank_exact
 from veronese.schemes import (
     FatPoint,
-    Hyperplane,
     Reduced,
     SchemeSpec,
-    castelnuovo_check,
     h1,
     random_fat_point,
-    random_hyperplane,
     random_jet_on_conic,
     random_jet_on_line,
-    random_point_on_hyperplane,
     random_reduced,
-    random_scheme,
-    reparametrize_jet,
     span_matrix,
 )
 from veronese.strata import (

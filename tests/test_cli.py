@@ -177,6 +177,8 @@ def test_exit_2_on_invariant_violation(tmp_path, capsys):
         {"kind": "two_three", "point": ["1", "0", "0"], "direction": "010"},
         {"kind": "jet", "curve": "100010"},
         {"kind": "jet", "curve": ["100", "010"]},
+        {"kind": "jet", "curve": [["1", "0", "0"], ["2", "0"]]},
+        {"kind": "two_three", "point": ["1", "0", "0"], "direction": ["2", "0"]},
     ]
     p = tmp_path / "scheme.json"
     for comp in cases:
@@ -423,7 +425,7 @@ def test_exit_3_on_internal_inconsistency(monkeypatch, capsys):
 def test_parse_scheme_roundtrip_identity():
     import random
 
-    from veronese.schemes import random_scheme
+    from oracles import random_scheme
 
     rng = random.Random(7)
     Z = random_scheme(rng, 2, 6, bound=9, kinds=("reduced", "jet", "fat", "two_three"))

@@ -7,11 +7,18 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    Hyperplane,
+    castelnuovo_check,
     fat_point_rows_oracle,
     jet_span_rows_oracle,
     line_condition_oracle,
     naive_rank,
     proper_subscheme_spans,
+    random_hyperplane,
+    random_point_on_hyperplane,
+    random_scheme,
+    reparametrize_jet,
+    residual_trace_split,
     two_three_rows_oracle,
 )
 from veronese.errors import InputError, UnsupportedComponentError
@@ -31,27 +38,20 @@ from veronese.rationalla import (
 )
 from veronese.schemes import (
     FatPoint,
-    Hyperplane,
     Jet,
     Reduced,
     SchemeSpec,
     TwoThreePoint,
     _dependent,
     assemble_scheme,
-    castelnuovo_check,
     conditions_matrix,
     h1,
     linearly_general,
     random_fat_point,
-    random_hyperplane,
     random_jet_on_conic,
     random_jet_on_line,
-    random_point_on_hyperplane,
     random_reduced,
-    random_scheme,
     random_vector,
-    reparametrize_jet,
-    residual_trace_split,
     scheme_degree,
     scheme_from_json,
     scheme_to_json,

@@ -87,3 +87,51 @@ def test_only_rationalla_names_the_probe_and_the_elimination():
     no other module of the package names _probe_pivots or _eliminate, so
     every rank and solve goes through rationalla's public functions."""
     assert _modules_other_than_rationalla_naming(r"\b(_probe_pivots|_eliminate)\b") == []
+
+
+# forms.power_expand is the nu_d embedding that the README and demo 04 show
+# users; no command needs it, since every command builds whole span matrices
+REACHED_WITHOUT_A_COMMAND = {"power_expand"}
+
+
+def _module_definitions(tree: ast.Module):
+    """(name, node) of every module-level function, class and assigned name."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, ast.Assign):
+            yield from ((t.id, node) for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            yield node.target.id, node
+
+
+def test_every_definition_is_reached_from_the_cli():
+    """Each module-level function and class in the package is reached from
+    ``veronese.cli.main`` by following the names and attributes that each
+    reached definition mentions; a class's methods count with their class,
+    and a name reaches every package definition that bears it.  Code that
+    only tests or demos use belongs under tests/."""
+    defs: dict[str, list] = {}
+    for path in sorted(SRC.glob("*.py")):
+        for name, node in _module_definitions(ast.parse(path.read_text(encoding="utf-8"))):
+            defs.setdefault(name, []).append((path.name, node))
+    reached, todo = set(), ["main"]
+    while todo:
+        name = todo.pop()
+        if name in reached or name not in defs:
+            continue
+        reached.add(name)
+        for _, node in defs[name]:
+            for n in ast.walk(node):
+                if isinstance(n, ast.Name):
+                    todo.append(n.id)
+                elif isinstance(n, ast.Attribute):
+                    todo.append(n.attr)
+    unreached = sorted(
+        f"{module}:{node.lineno} {name}"
+        for name, places in defs.items()
+        for module, node in places
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and name not in reached | REACHED_WITHOUT_A_COMMAND
+    )
+    assert unreached == []
