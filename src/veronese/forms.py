@@ -6,6 +6,13 @@ graded-lexicographic monomial order.  The degree-d power embedding of a
 point Q of P^m is realized concretely by ``power_expand`` applied to the
 linear form with Q's homogeneous coordinates.
 
+The span of a curve germ c(t) is read off its jet rows [t^j] prod_i
+c_i(t)^beta_i, and every such row set, a point's included, is one integer
+power table p^alpha: a germ's coordinate series are packed into integers by
+Kronecker substitution t -> 2^K, a ring map from Z[t] to Z.  No coefficient
+of a product of the series exceeds N^d in absolute value, N their largest
+L1 norm, so slots of K = bitlen(N^d) + 1 bits hold each one exactly.
+
 The monomial order is global and serialized artifacts record it ("grlex"),
 so coefficient vectors are comparable across runs and implementations.
 """
@@ -157,16 +164,6 @@ class Form:
         return Form(self.m, self.d, tuple(s * c for c in self.coeffs))
 
 
-def _tmul(a: Sequence, b: Sequence, cap: int) -> list:
-    """Product of two power series in t, truncated to t^0..t^(cap-1)."""
-    out = [0] * cap
-    for i, ai in enumerate(a[:cap]):
-        if ai:
-            for j, bj in enumerate(b[: cap - i]):
-                out[i + j] += ai * bj
-    return out
-
-
 def _powers(x: int, e: int) -> list[int]:
     """x^0, x^1, ..., x^e."""
     out = [1]
@@ -203,35 +200,28 @@ def _jet_rows(curve: Sequence[Sequence[Fraction]], d: int) -> tuple[list[list[in
     over the degree-d basis, c_i(t) = sum_s curve[s][i] t^s, from the
     numerator series D c_i(t) over one common denominator D.
 
-    A length-1 curve (a reduced point) is one ``_power_table``.  Otherwise
-    each series power (D c_i)^e, e <= d, is tabulated once, truncated below
-    t^len(curve); the basis is walked coordinate by coordinate in its own
-    order, so a column costs one truncated product per coordinate and
-    columns with a common prefix of exponents share those products.
+    A length-1 curve (a reduced point) is one ``_power_table``.  A germ of
+    length k >= 2 is one too, by Kronecker substitution: t -> 2^K packs each
+    series D c_i into one integer, and Z[t] -> Z, t -> 2^K, is a ring map, so
+    the table entry of beta is prod_i (D c_i)^beta_i evaluated at 2^K.  Every
+    coefficient of that product, in every degree, is at most
+    prod_i ||D c_i||_1^beta_i <= N^d in absolute value, N the largest L1
+    norm of a series, so with K = bitlen(N^d) + 1 each lies strictly inside
+    (-2^(K-1), 2^(K-1)).  Adding 2^(K-1) to each of the low k slots and
+    keeping the low kK bits (reduction mod 2^(kK) drops t^k and above) turns
+    every slot into a plain base-2^K digit, which is read off exactly.
     """
     nums, D = _clear_denominators(curve)
-    cap = len(nums)
-    if cap == 1:
+    if len(nums) == 1:
         return [_power_table(nums[0], d)], D**d
-    m = len(nums[0]) - 1
-    tables = []
-    for i in range(m + 1):
-        series = [v[i] for v in nums]
-        tab = [[1] + [0] * (cap - 1)]
-        for _ in range(d):
-            tab.append(_tmul(tab[-1], series, cap))
-        tables.append(tab)
-    cols: list[list[int]] = []
-
-    def walk(i: int, deg: int, acc: list[int]) -> None:
-        if i == m:
-            cols.append(_tmul(acc, tables[m][deg], cap))
-            return
-        for e in range(deg, -1, -1):
-            walk(i + 1, deg - e, _tmul(acc, tables[i][e], cap))
-
-    walk(0, d, tables[0][0])  # s^0 = 1
-    return [list(row) for row in zip(*cols)], D**d
+    series = list(zip(*nums))
+    K = (max(sum(map(abs, s)) for s in series) ** d).bit_length() + 1
+    packed = [sum(c << (j * K) for j, c in enumerate(s)) for s in series]
+    shifts = range(0, len(nums) * K, K)
+    half, slot = 1 << (K - 1), (1 << K) - 1
+    offset, window = sum(half << s for s in shifts), (1 << shifts.stop) - 1
+    cols = [(v + offset) & window for v in _power_table(packed, d)]
+    return [[((v >> s) & slot) - half for v in cols] for s in shifts], D**d
 
 
 def _span_rows(curve: Sequence[Sequence[Fraction]], d: int) -> tuple[list[list[int]], int]:

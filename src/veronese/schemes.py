@@ -19,11 +19,12 @@ degree-d image of a length-k jet are the t^0..t^(k-1) coefficients of
 evaluation, jet coefficient extraction, and the derivatives at fat points
 and (2,3)-points), and h1 = degree - rank measures the failure to impose
 independent conditions.  Point values come from one integer power table
-p^alpha per point and degree; a derivative row scatters that table, times
-the factors of ``forms._contraction_plan``, into its columns, and a
-(2,3)-point row is a sum of whole scaled derivative rows.  A scheme of
-degree above ``forms.MAX_MONOMIALS`` is refused, as a degree with more
-monomials is.
+p^alpha per point and degree, and a jet's rows from one power table of its
+Kronecker-packed coordinate series (``forms._jet_rows``); a derivative row
+scatters a point's table, times the factors of ``forms._contraction_plan``,
+into its columns, and a (2,3)-point row is a sum of whole scaled derivative
+rows.  A scheme of degree above ``forms.MAX_MONOMIALS`` is refused by span
+and conditions matrices alike, as a degree with more monomials is.
 The rank is proved by a rank probe modulo a prime when the probe is full,
 and by Bareiss elimination otherwise.
 """
@@ -204,11 +205,21 @@ def scheme_degree(Z: SchemeSpec) -> int:
 # matrix builders: integer power tables, one division per entry
 
 
+def _refuse_rows_past_cap(Z: SchemeSpec, what: str) -> None:
+    """A scheme of degree above MAX_MONOMIALS has more rows than any matrix
+    may have columns; it is refused before any row is built."""
+    degree = scheme_degree(Z)
+    if degree > MAX_MONOMIALS:
+        raise InputError(f"scheme degree {degree} exceeds {MAX_MONOMIALS} {what} rows")
+
+
 def span_matrix(Z: SchemeSpec, d: int) -> QMatrix:
     """Rows spanning the degree-d image of a curvilinear scheme: the jet
-    rows with column beta scaled by multinomial(d, beta)."""
+    rows with column beta scaled by multinomial(d, beta).  A scheme of
+    degree above MAX_MONOMIALS is refused before any row is built."""
     if d < 1:
         raise InputError("span_matrix needs d >= 1")
+    _refuse_rows_past_cap(Z, "span")
     ncols = len(monomial_basis(Z.m, d))
     nums: list = []
     dens: list = []
@@ -335,9 +346,7 @@ def conditions_matrix(Z: SchemeSpec, d: int) -> QMatrix:
     """
     if d < 1:
         raise InputError("conditions_matrix needs d >= 1")
-    degree = scheme_degree(Z)
-    if degree > MAX_MONOMIALS:
-        raise InputError(f"scheme degree {degree} exceeds {MAX_MONOMIALS} conditions rows")
+    _refuse_rows_past_cap(Z, "conditions")
     ncols = len(monomial_basis(Z.m, d))
     nums: list = []
     dens: list = []

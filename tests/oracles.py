@@ -19,7 +19,9 @@ off one solve.  The span intersection is the ambient reference for the
 relations solved in a rational curve's own coordinates.  The line criterion
 reads the intersection degree of a curvilinear scheme with each candidate
 line off the vanishing orders of the line's naive kernel forms, the
-reference for the degree-3 linear-position predicate.
+reference for the degree-3 linear-position predicate.  The jet rows'
+reference is the truncated-series column walk that the Kronecker-packed
+builder replaced; its ``_tmul`` also reparametrizes jets.
 
 The last section is not an oracle: it holds scheme helpers that no command
 of the package uses (hyperplanes, residual/trace splitting and the
@@ -36,7 +38,7 @@ from math import comb, isqrt, lcm
 from typing import Sequence
 
 from veronese.errors import InputError, UnsupportedComponentError
-from veronese.forms import Form, LinearForm, _tmul
+from veronese.forms import Form, LinearForm
 from veronese.rationalla import QMatrix, _q, kernel_basis, membership_solve
 from veronese.schemes import (
     Component,
@@ -279,6 +281,52 @@ def partition_count(t: int) -> int:
             total += sigma * p[n - k]
         p[n] = total // n
     return p[t]
+
+
+def _tmul(a: Sequence, b: Sequence, cap: int) -> list:
+    """Product of two power series in t, truncated to t^0..t^(cap-1)."""
+    out = [0] * cap
+    for i, ai in enumerate(a[:cap]):
+        if ai:
+            for j, bj in enumerate(b[: cap - i]):
+                out[i + j] += ai * bj
+    return out
+
+
+def jet_rows_reference(curve, d: int) -> tuple[list[list[int]], int]:
+    """The column walk ``forms._jet_rows`` replaced with one Kronecker-packed
+    power table: integer numerators of [t^j] prod_i c_i(t)^beta_i, j <
+    len(curve), over the degree-d basis, and the denominator D^d, D the lcm
+    of every coordinate's denominator.
+
+    Each series power (D c_i)^e, e <= d, is tabulated once, truncated below
+    t^len(curve); the basis is walked coordinate by coordinate in its own
+    order, so a column costs one truncated product per coordinate and
+    columns with a common prefix of exponents share those products.  A
+    length-1 curve takes the same walk.
+    """
+    D = lcm(*(Fraction(x).denominator for v in curve for x in v))
+    nums = [[int(Fraction(x) * D) for x in v] for v in curve]
+    cap = len(nums)
+    m = len(nums[0]) - 1
+    tables = []
+    for i in range(m + 1):
+        series = [v[i] for v in nums]
+        tab = [[1] + [0] * (cap - 1)]
+        for _ in range(d):
+            tab.append(_tmul(tab[-1], series, cap))
+        tables.append(tab)
+    cols: list[list[int]] = []
+
+    def walk(i: int, deg: int, acc: list[int]) -> None:
+        if i == m:
+            cols.append(_tmul(acc, tables[m][deg], cap))
+            return
+        for e in range(deg, -1, -1):
+            walk(i + 1, deg - e, _tmul(acc, tables[i][e], cap))
+
+    walk(0, d, tables[0][0])  # s^0 = 1
+    return [list(row) for row in zip(*cols)], D**d
 
 
 def jet_span_rows_oracle(curve, d: int, k: int, m: int):

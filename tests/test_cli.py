@@ -329,6 +329,25 @@ def test_exit_2_on_conditions_rows_beyond_cap(tmp_path, capsys):
     assert "4501500" in captured.err
 
 
+def test_exit_2_on_span_rows_beyond_cap(tmp_path, capsys, monkeypatch):
+    # one jet of length 20000 in P^2 has 20000 span rows at any degree;
+    # certify refuses it before any row is built, as h1 does
+    import veronese.schemes as schemes
+
+    def no_rows(*args):
+        raise AssertionError("a span row was built")
+
+    monkeypatch.setattr(schemes, "_span_rows", no_rows)
+    curve = [[1, j, j * j] for j in range(20000)]
+    scheme, point = tmp_path / "jet.json", tmp_path / "point.json"
+    scheme.write_text(json.dumps({"m": 2, "components": [{"kind": "jet", "curve": curve}]}))
+    point.write_text(json.dumps({"m": 2, "d": 4, "coeffs": [1] + [0] * 14}))
+    code = main(["certify", "--point", str(point), "--scheme", str(scheme)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "input error: scheme degree 20000 exceeds 10000 span rows\n"
+
+
 def test_exit_2_on_conic_parts_beyond_parameter_box(capsys):
     code = main(
         ["construct", "2", "5", "--conic-a", "2,2,2", "--conic-b", "3,3", "--bound", "1"]

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from oracles import (
     catalecticant_oracle,
     evaluate,
+    jet_rows_reference,
     naive_modular_rank,
     naive_power,
     naive_power_sum,
@@ -22,6 +23,7 @@ from veronese.forms import (
     Form,
     LinearForm,
     _contraction_rows,
+    _jet_rows,
     catalecticant_matrix,
     form_from_json,
     form_to_json,
@@ -98,6 +100,48 @@ def test_power_sum_and_rows_against_naive_re_expansion(m, d, data):
     rows = power_rows(m, d, points)
     assert (rows.rows, rows.cols) == (len(points), comb(m + d, m))
     assert rows.to_rows() == [poly_dict_to_coeffs(naive_power(p, d), m, d) for p in points]
+
+
+@st.composite
+def germs(draw, m: int, k: int):
+    """k curve vectors in K^(m+1): numerators from +-1 to +-10^12, at most
+    three distinct denominators up to 10^6, and some coordinate series
+    zero throughout."""
+    dens = draw(st.lists(st.integers(1, 10**6), min_size=1, max_size=3))
+    size = draw(st.integers(0, 12))
+    entries = st.builds(Fraction, st.integers(-(10**size), 10**size), st.sampled_from(dens))
+    zero = draw(st.sets(st.integers(0, m), max_size=m))
+    return [
+        [Fraction(0) if i in zero else draw(entries) for i in range(m + 1)] for _ in range(k)
+    ]
+
+
+@settings(SETTINGS, max_examples=150)
+@given(st.integers(1, 4), st.integers(0, 12), st.data())
+def test_jet_rows_equal_the_truncated_series_walk(m, d, data):
+    """The Kronecker-packed rows against the column walk they replaced, for
+    every length from a reduced point to d + 2."""
+    k = data.draw(st.integers(1, d + 2))
+    curve = data.draw(germs(m, k))
+    assert _jet_rows(curve, d) == jet_rows_reference(curve, d)
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 5])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_jet_rows_at_the_slot_bound(s, sign):
+    """Germs with an entry of absolute value exactly N^d, N the largest L1
+    norm of a coordinate series: x_0(t) = sign 2^s is constant, so column
+    (d, 0, 0) holds (sign 2^s)^d at t^0, one short of the slot's half width;
+    x_1 and x_2 alternate in sign when sign < 0."""
+    curve = [
+        [Fraction(sign * 2**s), Fraction(1), Fraction(0)],
+        [Fraction(0), Fraction(sign), Fraction(1)],
+        [Fraction(0), Fraction(0), Fraction(sign)],
+    ]
+    for d in range(13):
+        rows, den = _jet_rows(curve, d)
+        assert (rows, den) == jet_rows_reference(curve, d)
+        assert max(abs(x) for row in rows for x in row) == 2 ** (s * d)
 
 
 def test_power_expand_projective_scaling():
