@@ -6,12 +6,10 @@ graded-lexicographic monomial order.  The degree-d power embedding of a
 point Q of P^m is realized concretely by ``power_expand`` applied to the
 linear form with Q's homogeneous coordinates.
 
-The span of a curve germ c(t) is read off its jet rows [t^j] prod_i
-c_i(t)^beta_i, and every such row set, a point's included, is one integer
-power table p^alpha: a germ's coordinate series are packed into integers by
-Kronecker substitution t -> 2^K, a ring map from Z[t] to Z.  No coefficient
-of a product of the series exceeds N^d in absolute value, N their largest
-L1 norm, so slots of K = bitlen(N^d) + 1 bits hold each one exactly.
+A germ's span is read off its jet rows [t^j] prod_i c_i(t)^beta_i, j < k,
+k its length (1 for a point): one integer power table of its series, packed
+by the ring maps t -> 2^K and mod 2^(kK); K = bitlen(N^d) + 1 is exact, as
+no coefficient exceeds N^d, N the largest L1 norm of a series.
 
 The monomial order is global and serialized artifacts record it ("grlex"),
 so coefficient vectors are comparable across runs and implementations.
@@ -24,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, prod
 from operator import add, mul
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .errors import InputError
 from .rationalla import QMatrix, _clear_denominators, _q
@@ -164,30 +162,33 @@ class Form:
         return Form(self.m, self.d, tuple(s * c for c in self.coeffs))
 
 
-def _powers(x: int, e: int) -> list[int]:
-    """x^0, x^1, ..., x^e."""
+def _powers(x: int, e: int, mask: Optional[int] = None) -> list[int]:
+    """x^0, x^1, ..., x^e, each ANDed with mask if one is given."""
     out = [1]
     for _ in range(e):
-        out.append(out[-1] * x)
+        out.append(out[-1] * x if mask is None else out[-1] * x & mask)
     return out
 
 
-def _power_table(p: Sequence[int], e: int) -> list[int]:
+def _power_table(p: Sequence[int], e: int, mask: Optional[int] = None) -> list[int]:
     """p^alpha for alpha in monomial_basis(len(p) - 1, e), in that order.
 
     One walk over the basis: the leading coordinates extend a list of
     (prefix product, degree left) pairs, and each entry is one prefix times
     one precomputed x_{m-1}^a x_m^(left-a), so an entry costs one integer
-    multiply.
+    multiply.  With mask = 2^b - 1 and len(p) > 1 the powers are kept mod
+    2^b, so an entry is congruent to p^alpha mod 2^b, of len(p) * b bits at most.
     """
     if len(p) == 1:
         return [p[0] ** e]
     *head, x, y = p
-    xs, ys = _powers(x, e), _powers(y, e)
+    xs, ys = _powers(x, e, mask), _powers(y, e, mask)
+    if not head:
+        return [xs[a] * ys[e - a] for a in range(e, -1, -1)]
     tails = [[xs[a] * ys[k - a] for a in range(k, -1, -1)] for k in range(e + 1)]
     level = [(1, e)]
     for c in head:
-        cs = _powers(c, e)
+        cs = _powers(c, e, mask)
         level = [(acc * cs[a], k - a) for acc, k in level for a in range(k, -1, -1)]
     return [acc * v for acc, k in level for v in tails[k]]
 
@@ -202,14 +203,13 @@ def _jet_rows(curve: Sequence[Sequence[Fraction]], d: int) -> tuple[list[list[in
 
     A length-1 curve (a reduced point) is one ``_power_table``.  A germ of
     length k >= 2 is one too, by Kronecker substitution: t -> 2^K packs each
-    series D c_i into one integer, and Z[t] -> Z, t -> 2^K, is a ring map, so
-    the table entry of beta is prod_i (D c_i)^beta_i evaluated at 2^K.  Every
-    coefficient of that product, in every degree, is at most
-    prod_i ||D c_i||_1^beta_i <= N^d in absolute value, N the largest L1
-    norm of a series, so with K = bitlen(N^d) + 1 each lies strictly inside
-    (-2^(K-1), 2^(K-1)).  Adding 2^(K-1) to each of the low k slots and
-    keeping the low kK bits (reduction mod 2^(kK) drops t^k and above) turns
-    every slot into a plain base-2^K digit, which is read off exactly.
+    series D c_i into one integer, and Z[t] -> Z/2^(kK), t -> 2^K, is a ring
+    map that drops t^k and above, so the table kept mod 2^(kK) holds
+    prod_i (D c_i)^beta_i mod t^k at 2^K.  Every coefficient of that product
+    is at most prod_i ||D c_i||_1^beta_i <= N^d in absolute value, N the
+    largest L1 norm of a series, so with K = bitlen(N^d) + 1 each lies
+    strictly inside (-2^(K-1), 2^(K-1)).  Adding 2^(K-1) to each of the low
+    k slots and keeping the low kK bits makes each slot a base-2^K digit.
     """
     nums, D = _clear_denominators(curve)
     if len(nums) == 1:
@@ -220,7 +220,7 @@ def _jet_rows(curve: Sequence[Sequence[Fraction]], d: int) -> tuple[list[list[in
     shifts = range(0, len(nums) * K, K)
     half, slot = 1 << (K - 1), (1 << K) - 1
     offset, window = sum(half << s for s in shifts), (1 << shifts.stop) - 1
-    cols = [(v + offset) & window for v in _power_table(packed, d)]
+    cols = [(v + offset) & window for v in _power_table(packed, d, window)]
     return [[((v >> s) & slot) - half for v in cols] for s in shifts], D**d
 
 

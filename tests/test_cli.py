@@ -348,6 +348,17 @@ def test_exit_2_on_span_rows_beyond_cap(tmp_path, capsys, monkeypatch):
     assert captured.err == "input error: scheme degree 20000 exceeds 10000 span rows\n"
 
 
+
+def test_h1_of_a_two_jet_in_p1_at_degree_500(tmp_path, capsys):
+    # a length-2 scheme imposes independent conditions on binary forms of
+    # any degree past 0; its conditions rows come from one packed table
+    p = tmp_path / "jet.json"
+    p.write_text(json.dumps({"m": 1, "components": [{"kind": "jet", "curve": [[1, 1], [1, -1]]}]}))
+    code, out = run_cli(capsys, "h1", "500", "--scheme", str(p))
+    assert code == 0
+    report = json.loads(out)
+    assert (report["degree"], report["rank"], report["h1"]) == (2, 2, 0)
+
 def test_exit_2_on_conic_parts_beyond_parameter_box(capsys):
     code = main(
         ["construct", "2", "5", "--conic-a", "2,2,2", "--conic-b", "3,3", "--bound", "1"]

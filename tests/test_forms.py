@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
@@ -143,6 +144,39 @@ def test_jet_rows_at_the_slot_bound(s, sign):
         assert (rows, den) == jet_rows_reference(curve, d)
         assert max(abs(x) for row in rows for x in row) == 2 ** (s * d)
 
+
+
+@pytest.mark.parametrize(
+    "m, d, k, size",
+    [(1, 200, 2, 10**6), (1, 500, 2, 9), (1, 500, 3, 1), (1, 60, 50, 9), (2, 20, 50, 3)],
+)
+def test_jet_rows_equal_the_walk_at_high_degree_and_length(m, d, k, size):
+    """Shapes past the hypothesis draws: binary forms of degree up to 500,
+    where a slot is hundreds of bits wide, and germs of length 50."""
+    rng = random.Random(d * k)
+    curve = [
+        [Fraction(rng.randint(-size, size), rng.randint(1, 7)) for _ in range(m + 1)]
+        for _ in range(k)
+    ]
+    assert _jet_rows(curve, d) == jet_rows_reference(curve, d)
+
+
+def test_jet_rows_of_a_two_jet_stay_small_at_degree_500():
+    """x_0 = 1 + t, x_1 = 1 - t: column (a, 500 - a) is 1 at t^0 and 2a - 500
+    at t^1.  Every power in the packed table is kept mod 2^(2K), K about
+    500 bits, so the table holds about 1500 integers of at most 4K bits;
+    unreduced powers and every tail row of degree below 500 would take
+    gigabytes."""
+    curve = [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(-1)]]
+    tracemalloc.start()
+    try:
+        rows, den = _jet_rows(curve, 500)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert den == 1
+    assert rows == [[1] * 501, [2 * a - 500 for a in range(500, -1, -1)]]
+    assert peak < 2**22
 
 def test_power_expand_projective_scaling():
     rng = random.Random(8)
