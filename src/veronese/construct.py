@@ -128,7 +128,8 @@ def flattening_rank(P: Form, t: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     (``hankel_values``, ``hankel_index``), which is Cat_a(P)'s numerator
     matrix with column beta multiplied by beta!, so it has the same rank;
     ``catalecticant_matrix(P, a)`` is built only when its probe falls short
-    of the cap and Bareiss decides.
+    of the cap, for the exact check of the kernel vectors that prove the
+    lower rank (and for Bareiss, should that proof fail).
     """
     orders = range(1, P.d // 2 + 1)
     hankels = GatheredMatrix.gather(

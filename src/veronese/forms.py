@@ -137,13 +137,6 @@ class Form:
     def from_coeffs(cls, m: int, d: int, coeffs: Sequence) -> "Form":
         return cls(m, d, tuple(_q(c) for c in coeffs))
 
-    def coeff(self, alpha: MultiIndex) -> Fraction:
-        return self.coeffs[monomial_index(self.m, self.d)[alpha]]
-
-    def terms(self) -> Dict[MultiIndex, Fraction]:
-        basis = monomial_basis(self.m, self.d)
-        return {a: c for a, c in zip(basis, self.coeffs) if c != 0}
-
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 

@@ -8,7 +8,7 @@ row by its gcd and never look at the denominators.  Membership solves
 sum_i c'_i nums_i = v for c' and returns c_i = c'_i dens_i: dividing row i
 by dens_i scales the unknown c'_i, and scaling the unknowns keeps the pivot
 columns of the reduced row echelon form, so the coefficients are the same
-rationals, zero off the pivots.  Rank is computed by fraction-free (Bareiss)
+rationals, zero off the pivots.  ``rank_exact`` is fraction-free (Bareiss)
 elimination.  Kernels and membership solving use fraction-free Gauss-Jordan
 elimination (Nakos, Turner & Williams 1997), the same update loop applied to
 the rows above the pivot as well: every entry stays a minor of the input, so
@@ -70,6 +70,25 @@ cost of a rows x rows elimination and one integer combination.  A solve
 also returns the rank it proves: M.rows on the minor, and otherwise the
 Gauss-Jordan pivots that fall among the columns of M^T.
 
+A probe rank r proves rank >= r, and ``rank_with_fastpath`` proves
+rank <= r too, so that no deficient rank needs Bareiss, whose integers grow
+to the size of the largest minors.  Read M's numerators with the longer side
+as rows, T (M when tall, M^T when wide, s = min(rows, cols) columns); the
+probe's pivots name r rows B of T.  Mod-p Gauss-Jordan on B with an identity
+block appended, in the probe's slot arithmetic, gives pivot columns J and
+A^-1 mod p for the minor A = B[:, J], nonzero mod p.  For each of the s - r
+free columns f, Dixon's p-adic lifting (Dixon 1982) solves
+A z_J = -B[:, f] mod p^k, packed so that a step is 2r multiply-adds of big
+integers, and rational reconstruction (Wang 1981; Monagan, "Maximal quotient
+rational reconstruction", ISSAC 2004) recovers z, one entry at a time over
+a growing common denominator, every few steps.  z is kept only when every
+row of T times z is exactly 0; it is zero at the other free columns, so the
+s - r vectors are independent and rank <= r.  By Cramer's rule z's entries
+are quotients of r x r minors of B, each at most the Hadamard bound H of
+B's rows, so the lift stops once p^k > 2 H^2 + 1.  That stop, r = 0, a failed
+reconstruction or a failed exact check goes to Bareiss; a wrong rank would
+need a wrong exact check.
+
 All functions are pure and operate on immutable matrices.
 """
 
@@ -80,12 +99,14 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
-from typing import Callable, Iterable, Optional, Sequence
+from itertools import chain, count
+from math import gcd, isqrt, lcm, prod
+from operator import itemgetter, mul
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import InputError
 
-PROBE_PRIME = (1 << 31) - 1  # the prime of ``modular_rank_probe``
+PROBE_PRIME = (1 << 31) - 1  # the prime of the modular rank probe
 
 
 def _q(x) -> Fraction:
@@ -155,10 +176,6 @@ class QMatrix:
     def zero(cls, rows: int, cols: int) -> "QMatrix":
         return cls.from_ints(cols, [(0,) * cols] * rows, [1] * rows)
 
-    @classmethod
-    def identity(cls, n: int) -> "QMatrix":
-        return cls.from_ints(n, [[int(i == j) for j in range(n)] for i in range(n)], [1] * n)
-
     @property
     def rows(self) -> int:
         return len(self.nums)
@@ -171,9 +188,6 @@ class QMatrix:
     def row(self, i: int) -> list[Fraction]:
         den = self.dens[i]
         return [Fraction(x, den) for x in self.nums[i]]
-
-    def to_rows(self) -> list[list[Fraction]]:
-        return [self.row(i) for i in range(self.rows)]
 
     def transpose(self) -> "QMatrix":
         """Column j over the common denominator of all rows."""
@@ -197,16 +211,6 @@ class QMatrix:
                 f = c.numerator * (den // (c.denominator * d))
                 out = [o + f * x for o, x in zip(out, nums)]
         return out, den
-
-    def stack(self, other: "QMatrix") -> "QMatrix":
-        """Rows of self followed by rows of other (0-row matrices adapt)."""
-        if self.rows == 0:
-            return other
-        if other.rows == 0:
-            return self
-        if self.cols != other.cols:
-            raise InputError("column mismatch in stack")
-        return QMatrix(self.cols, self.nums + other.nums, self.dens + other.dens)
 
 
 @dataclass(frozen=True)
@@ -397,6 +401,37 @@ def _pack(residues: Iterable[int], length: int, nbytes: int) -> list[int]:
     return [int.from_bytes(view[i : i + step], "little") for i in range(0, len(buf), step)]
 
 
+def _unpack(packed: Iterable[int], length: int, nbytes: int) -> list[int]:
+    """The inverse of ``_pack`` for slots below 2^32: every slot of the
+    packed integers, ``length`` slots each, as one flat list, gathered by
+    the same four byte-lane slice copies."""
+    raw = b"".join(a.to_bytes(length * nbytes, "little") for a in packed)
+    lanes = array("I")
+    size = lanes.itemsize
+    buf = bytearray(len(raw) // nbytes * size)
+    for b in range(4):
+        buf[b::size] = raw[b::nbytes]
+    lanes.frombytes(buf)
+    if sys.byteorder == "big":
+        lanes.byteswap()
+    return lanes.tolist()
+
+
+def _slots(width: int, length: int) -> tuple[int, int, int]:
+    """(nbytes, lo, hi): the slot size in bytes for packed vectors that take
+    at most ``width`` updates, and ``_fold``'s masks over ``length`` slots.
+
+    K = 8 * ceil((bitlen((s + 1) * p * (p + 8)) + 1) / 8) for s = width:
+    whole bytes, so a row packs by byte copies and the masks repeat one
+    byte pattern."""
+    prime = PROBE_PRIME
+    nbytes = ((width + 1) * prime * (prime + 8)).bit_length() // 8 + 1
+    lo = int.from_bytes(prime.to_bytes(nbytes, "little") * length, "little")
+    top = (1 << (8 * nbytes - 31)) - 1
+    hi = int.from_bytes(top.to_bytes(nbytes, "little") * length, "little")
+    return nbytes, lo, hi
+
+
 def _probe_pivots(M: QMatrix | GatheredMatrix) -> list[int]:
     """Pivot positions of elimination mod PROBE_PRIME on the numerator rows
     of M, packed along the longer side: columns of M when rows <= cols, rows
@@ -448,13 +483,9 @@ def _probe_pivots(M: QMatrix | GatheredMatrix) -> list[int]:
     else:
         lines, table = M.index if wide else zip(*M.index), M.residues
         residues = [table[i] for line in lines for i in line]
-    # K = 8 * ceil((bitlen((s + 1) * p * (p + 8)) + 1) / 8): whole bytes, so a
-    # row packs by byte copies and the slot masks repeat one byte pattern.
-    nbytes = ((width + 1) * prime * (prime + 8)).bit_length() // 8 + 1
+    nbytes, lo, hi = _slots(width, length)
     K = 8 * nbytes
     mask = (1 << K) - 1
-    lo = int.from_bytes(prime.to_bytes(nbytes, "little") * length, "little")
-    hi = int.from_bytes(((1 << (K - 31)) - 1).to_bytes(nbytes, "little") * length, "little")
     ones = int.from_bytes((1).to_bytes(nbytes, "little") * length, "little")
     rows = _pack(residues, length, nbytes)
     pivots: list[int] = []
@@ -474,16 +505,193 @@ def _probe_pivots(M: QMatrix | GatheredMatrix) -> list[int]:
     return pivots
 
 
-def modular_rank_probe(M: QMatrix | GatheredMatrix) -> int:
-    """Rank of the numerator rows of M reduced mod PROBE_PRIME (of the
-    gathered rows, for a ``GatheredMatrix``); always <= the exact rank of M,
-    since scaling rows or columns by nonzero factors does not change it.
+def _inverse_mod_p(B: Sequence[Sequence[int]]) -> Optional[tuple[list[int], list[int]]]:
+    """(J, -A^-1): the pivot columns J of mod-p Gauss-Jordan on the r
+    integer rows B, and -A^-1 mod p for the r x r minor A = B[:, J], row
+    after row, each entry below 2p; None when B has fewer than r pivots
+    mod p.
 
-    A fast randomized pre-filter: no denominator is ever inverted, and the
-    matrix is eliminated packed along its longer side (``_probe_pivots``),
-    which stops as soon as every packed vector is a pivot or vanishes mod p.
+    The rows run with an identity block appended, packed like the probe's
+    vectors (``_pack``, the same K for s = width): the current column is
+    always slot 0 and every row drops it after each column.  The pivot row
+    becomes N = -row / head mod p (``_fold``, as in ``_probe_pivots``) and
+    stays in the list, negated, so every other row above or below takes
+    the one update row + f * N; a row takes at most r - 1 updates besides
+    its own normalization, so its slots stay below (s + 1) p (p + 8).  Once
+    r pivots are found, the block left in the rows is -A^-1, row k for
+    pivot k.
     """
-    return len(_probe_pivots(M))
+    prime = PROBE_PRIME
+    r, width = len(B), len(B[0])
+    nbytes, lo, hi = _slots(width, width + r)
+    K = 8 * nbytes
+    mask = (1 << K) - 1
+    residues = []
+    for i, row in enumerate(B):
+        residues += [x % prime for x in row]
+        residues += [0] * i + [1] + [0] * (r - 1 - i)
+    rows = _pack(residues, width + r, nbytes)
+    free = list(range(r))  # rows not yet a pivot, in order
+    order, J = [], []
+    for c in range(width):
+        heads = [(a & mask) % prime for a in rows]
+        piv = next((i for i in free if heads[i]), None)
+        if piv is None:
+            rows = [a >> K for a in rows]
+            continue
+        tail = _fold(_fold(rows[piv] >> K, lo, hi), lo, hi)
+        N = _fold(_fold(tail * (prime - pow(heads[piv], -1, prime)), lo, hi), lo, hi)
+        heads[piv] = 0
+        rows = [(a >> K) + f * N if f else a >> K for a, f in zip(rows, heads)]
+        rows[piv] = N
+        free.remove(piv)
+        order.append(piv)
+        J.append(c)
+        if not free:
+            break
+    if free:
+        return None
+    shift = K * (width - 1 - J[-1])
+    return J, _unpack((_fold(_fold(rows[i] >> shift, lo, hi), lo, hi) for i in order), r, nbytes)
+
+
+def _rational_reconstruction(u: int, m: int, bound: int) -> Optional[tuple[int, int]]:
+    """(a, b) with a = b u (mod m), |a| <= bound and 0 < b <= bound, from the
+    extended Euclidean algorithm on (m, u) stopped at the first remainder
+    <= bound (Wang 1981); None when the cofactor b exceeds the bound.  When
+    2 bound^2 < m at most one fraction a / b satisfies all three."""
+    r0, r1, t0, t1 = m, u % m, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if not 0 < abs(t1) <= bound:
+        return None
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
+
+
+def _kernel_vectors(
+    B: Sequence[Sequence[int]], J: list[int], negated_inverse: list[int]
+) -> Iterator[tuple[Callable, Optional[list[int]]]]:
+    """For each free column f of the r integer rows B (a column outside J),
+    in order, the integer vector z with z[f] = den > 0, zero at every other
+    free column, and B z = 0 exactly, as (entries, values): ``entries``
+    picks a row's entries at J and f, and ``values`` are z's there, None
+    when the lift cannot find them.
+
+    Dixon's p-adic lifting (Dixon, "Exact solution of linear equations using
+    p-adic expansions", Numer. Math. 1982) solves A z_J = -B[:, f] mod p^k
+    for the minor A = B[:, J], one digit vector x = A^-1 R mod p per step,
+    then R <- (R - A x) / p.  The residual R is one integer of signed slots
+    of W bits and A is packed by columns the same way, so a step is r
+    multiply-adds of packed integers, exactly divisible by p as a whole;
+    every slot stays at most r max|B| < 2^(W-1).  The digits are -A^-1
+    (``_inverse_mod_p``), packed by columns, times -R mod p, in r more
+    multiply-adds.
+
+    At steps 1, 2, 3, 4, 5, 7, 9, 12, ... (each a quarter past the last) the
+    solution mod p^k is reconstructed entry by entry over one growing common
+    denominator (``_rational_reconstruction``, with 2 bound^2 < p^k) and
+    returned once B z = 0 holds exactly: A is nonsingular, so that z is the
+    only kernel vector of B of this shape.  By Cramer's rule its numerators
+    and denominator are r x r minors of B, at most the Hadamard bound H of
+    B's rows, so the lift gives up once p^k > 2 H^2 + 1.
+    """
+    prime = PROBE_PRIME
+    r = len(J)
+    columns = list(zip(*B))
+    nbytes = (r * max(map(abs, chain.from_iterable(B)))).bit_length() // 8 + 1
+    half = 1 << (8 * nbytes - 1)
+    offset = int.from_bytes(half.to_bytes(nbytes, "little") * r, "little")
+
+    def packed(xs: Iterable[int]) -> int:
+        """Signed slots: each x + half is one unsigned slot, less the offset."""
+        raw = b"".join([(x + half).to_bytes(nbytes, "little") for x in xs])
+        return int.from_bytes(raw, "little") - offset
+
+    packed_A = [packed(columns[j]) for j in J]
+    hadamard = prod(sum(map(mul, row, row)) for row in B)
+    # -A^-1 packed by columns: a digit slot sums r products below 2p * p
+    slot_bytes, lo, hi = _slots(2 * r, r)
+    rows = [negated_inverse[k : k + r] for k in range(0, r * r, r)]
+    inverse = _pack(chain.from_iterable(zip(*rows)), r, slot_bytes)
+    pivots = set(J)
+    for f in range(len(columns)):
+        if f in pivots:
+            continue
+        entries = itemgetter(*J, f)
+        residual = packed(-x for x in columns[f])
+        acc, modulus, attempt, z = [0] * r, 1, 1, None
+        for step in count(1):
+            raw = (residual + offset).to_bytes(r * nbytes, "little")
+            # -R mod p, slot by slot, so that -A^-1 (-R) = A^-1 R
+            R = [
+                (half - int.from_bytes(raw[i : i + nbytes], "little")) % prime
+                for i in range(0, len(raw), nbytes)
+            ]
+            digits = _fold(_fold(sum(map(mul, R, inverse)), lo, hi), lo, hi)
+            x = [v % prime for v in _unpack((digits,), r, slot_bytes)]
+            residual = (residual - sum(map(mul, x, packed_A))) // prime
+            acc = [a + v * modulus for a, v in zip(acc, x)]
+            modulus *= prime
+            last = modulus > 2 * hadamard + 1
+            if step < attempt and not last:
+                continue
+            attempt = step + step // 4 + 1
+            z = _candidate(acc, modulus)
+            if z is not None and not any(sum(map(mul, entries(row), z)) for row in B):
+                break
+            z = None
+            if last:
+                break
+        yield entries, z
+
+
+def _candidate(acc: list[int], modulus: int) -> Optional[list[int]]:
+    """[den * q_1, ..., den * q_r, den], where q_k is the rational
+    reconstruction of acc[k] mod ``modulus`` and den > 0 their common
+    denominator, built up entry by entry: an entry times the denominator so
+    far that is already a small integer needs no Euclid; None when an entry
+    or den exceeds the bound."""
+    bound = isqrt(modulus // 2)
+    nums, den = [], 1
+    for a in acc:
+        y = a * den % modulus
+        if y > modulus // 2:
+            y -= modulus
+        if abs(y) > bound:
+            frac = _rational_reconstruction(y, modulus, bound)
+            if frac is None or den * frac[1] > bound:
+                return None
+            nums = [n * frac[1] for n in nums]
+            y, den = frac[0], den * frac[1]
+        nums.append(y)
+    return nums + [den]
+
+
+def _rank_at_most(M: QMatrix, positions: list[int]) -> bool:
+    """Is rank M <= r = len(positions), for the probe's pivot positions?
+
+    Let T be M's numerators with its longer side as rows: M when it is
+    tall, M^T when it is wide, so T has s = min(rows, cols) columns and the
+    positions name r of its rows, B.  Mod-p Gauss-Jordan on B finds pivot
+    columns J and a minor A = B[:, J] nonzero mod p (``_inverse_mod_p``),
+    so rank M >= r.  For each of the s - r free columns, the lifted kernel
+    vector of B (``_kernel_vectors``) is kept only when every row of T
+    times it is exactly 0.  Each is nonzero at its own free column, where
+    the others vanish, so they are independent and rank M <= r.  Any step
+    that fails answers False.
+    """
+    lines = M.nums if M.rows > M.cols else list(zip(*M.nums))
+    B = [lines[i] for i in positions]
+    found = _inverse_mod_p(B)
+    if found is None:
+        return False
+    chosen = set(positions)
+    rest = [row for i, row in enumerate(lines) if i not in chosen]
+    for entries, z in _kernel_vectors(B, *found):
+        if z is None or any(sum(map(mul, entries(row), z)) for row in rest):
+            return False
+    return True
 
 
 def rank_with_fastpath(M: QMatrix | GatheredMatrix, cap: Optional[int] = None) -> int:
@@ -492,16 +700,21 @@ def rank_with_fastpath(M: QMatrix | GatheredMatrix, cap: Optional[int] = None) -
     this way (a span's rank comes from ``membership_solve``, whose probe
     proves it along with the solve).
 
-    The probe reduces the numerator rows mod PROBE_PRIME, and its rank never
-    exceeds the exact rank, so a probe that reaches min(rows, cols) proves
-    full rank.  A caller that knows the rank is at most ``cap`` may pass it:
-    a probe that reaches min(rows, cols, cap) is then the exact rank, and a
-    probe above the cap is returned as it is, for the caller to refuse.  Any
-    other probe result falls back to Bareiss, on ``M.exact()`` for a
-    ``GatheredMatrix``, which is built only then.
+    The probe reduces the numerator rows mod PROBE_PRIME, and its rank r
+    never exceeds the exact rank, so a probe that reaches min(rows, cols)
+    proves full rank.  A caller that knows the rank is at most ``cap`` may
+    pass it: a probe that reaches min(rows, cols, cap) is then the exact
+    rank, and a probe above the cap is returned as it is, for the caller to
+    refuse.  A lower probe is proved exact by min(rows, cols) - r exact
+    kernel vectors (``_rank_at_most``), on ``M.exact()`` for a
+    ``GatheredMatrix``, which is built only then.  When r = 0 or that proof
+    fails, Bareiss decides.
     """
     reach = min(M.rows, M.cols) if cap is None else min(M.rows, M.cols, cap)
-    probed = modular_rank_probe(M)
-    if probed >= reach:
-        return probed
-    return rank_exact(M if isinstance(M, QMatrix) else M.exact())
+    pivots = _probe_pivots(M)
+    if len(pivots) >= reach:
+        return len(pivots)
+    exact = M if isinstance(M, QMatrix) else M.exact()
+    if pivots and _rank_at_most(exact, pivots):
+        return len(pivots)
+    return rank_exact(exact)

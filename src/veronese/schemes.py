@@ -25,8 +25,10 @@ scatters a point's table, times the factors of ``forms._contraction_plan``,
 into its columns, and a (2,3)-point row is a sum of whole scaled derivative
 rows.  A scheme of degree above ``forms.MAX_MONOMIALS`` is refused by span
 and conditions matrices alike, as a degree with more monomials is.
-The rank is proved by a rank probe modulo a prime when the probe is full,
-and by Bareiss elimination otherwise.
+The rank is proved by a rank probe modulo a prime, which bounds it from
+below, and, when the probe is not full, by exact kernel vectors lifted from
+that prime, which bound it from above; Bareiss elimination decides only
+when that proof fails.
 """
 
 from __future__ import annotations
@@ -369,7 +371,8 @@ def h1(Z: SchemeSpec, d: int) -> int:
     """Superabundance of the degree-d interpolation problem: deg - rank.
 
     The rank is proved by ``rank_with_fastpath``: a full-rank probe modulo
-    a prime is exact, and anything else is settled by Bareiss elimination.
+    a prime is exact, a lower probe rank r is proved by exact kernel vectors
+    lifted from that prime, and only a failed proof goes to Bareiss.
     """
     return scheme_degree(Z) - rank_with_fastpath(conditions_matrix(Z, d))
 

@@ -23,6 +23,11 @@ reference for the degree-3 linear-position predicate.  The jet rows'
 reference is the truncated-series column walk that the Kronecker-packed
 builder replaced; its ``_tmul`` also reparametrizes jets.
 
+The first section is not an oracle either: it holds the matrix and form
+accessors only the tests read (``identity``, ``stack``, ``to_rows``,
+``coeff``, ``terms``) and ``modular_rank_probe``, the count of the
+package's probe pivots.
+
 The last section is not an oracle: it holds scheme helpers that no command
 of the package uses (hyperplanes, residual/trace splitting and the
 Castelnuovo inequality check, jet reparametrization and a random
@@ -38,8 +43,8 @@ from math import comb, isqrt, lcm
 from typing import Sequence
 
 from veronese.errors import InputError, UnsupportedComponentError
-from veronese.forms import Form, LinearForm
-from veronese.rationalla import QMatrix, _q, kernel_basis, membership_solve
+from veronese.forms import Form, LinearForm, monomial_basis, monomial_index
+from veronese.rationalla import QMatrix, _probe_pivots, _q, kernel_basis, membership_solve
 from veronese.schemes import (
     Component,
     FatPoint,
@@ -56,6 +61,48 @@ from veronese.schemes import (
     random_vector,
     span_matrix,
 )
+
+
+# ---------------------------------------------------------------------------
+# accessors only the tests read
+
+
+def identity(n: int) -> QMatrix:
+    return QMatrix.from_ints(n, [[int(i == j) for j in range(n)] for i in range(n)], [1] * n)
+
+
+def stack(A: QMatrix, B: QMatrix) -> QMatrix:
+    """Rows of A followed by rows of B (0-row matrices adapt)."""
+    if A.rows == 0:
+        return B
+    if B.rows == 0:
+        return A
+    if A.cols != B.cols:
+        raise InputError("column mismatch in stack")
+    return QMatrix(A.cols, A.nums + B.nums, A.dens + B.dens)
+
+
+def to_rows(M: QMatrix) -> list[list[Fraction]]:
+    return [M.row(i) for i in range(M.rows)]
+
+
+def coeff(F: Form, alpha) -> Fraction:
+    return F.coeffs[monomial_index(F.m, F.d)[alpha]]
+
+
+def terms(F: Form) -> dict:
+    """The nonzero coefficients of F by exponent."""
+    return {a: c for a, c in zip(monomial_basis(F.m, F.d), F.coeffs) if c != 0}
+
+
+def modular_rank_probe(M) -> int:
+    """Rank of the numerator rows of M mod PROBE_PRIME (of the gathered rows,
+    for a ``GatheredMatrix``), counted by the package's own probe."""
+    return len(_probe_pivots(M))
+
+
+# ---------------------------------------------------------------------------
+# oracles
 
 
 def naive_rank(M: QMatrix) -> int:
@@ -114,7 +161,7 @@ def naive_rref(rows):
 def naive_kernel(M: QMatrix):
     """Right kernel basis read off the RREF: one vector per free column, in
     ascending order, with a 1 in that column."""
-    rows, pivots = naive_rref(M.to_rows())
+    rows, pivots = naive_rref(to_rows(M))
     basis = []
     for fc in (c for c in range(M.cols) if c not in pivots):
         v = [Fraction(0)] * M.cols
@@ -130,7 +177,7 @@ def naive_membership(M: QMatrix, v):
     RREF of the augmented system [M^T | v]."""
     if M.rows == 0:
         return [] if all(x == 0 for x in v) else None
-    cols = M.transpose().to_rows()
+    cols = to_rows(M.transpose())
     aug = [col + [x] for col, x in zip(cols, v)]
     rows, pivots = naive_rref(aug)
     if M.rows in pivots:
@@ -145,8 +192,8 @@ def intersect_spans_oracle(A: QMatrix, B: QMatrix):
     """rowspace(A) & rowspace(B) from the naive kernel of the stacked rows,
     over all of their columns: (relation, vector) pairs, where the relation x
     satisfies x[:rA] . A = -x[rA:] . B and the vector x[:rA] . A is nonzero."""
-    rows_a = A.to_rows()
-    stacked = QMatrix.from_rows(list(zip(*(rows_a + B.to_rows()))))
+    rows_a = to_rows(A)
+    stacked = QMatrix.from_rows(list(zip(*(rows_a + to_rows(B)))))
     pairs = []
     for x in naive_kernel(stacked):
         v = [sum((c * row[j] for c, row in zip(x, rows_a)), Fraction(0)) for j in range(A.cols)]
@@ -231,7 +278,7 @@ def naive_product_expand(factors):
     acc = {(0,) * (m + 1): Fraction(1)}
     for f, e in forms:
         for _ in range(e):
-            acc = naive_poly_mul(acc, f.terms())
+            acc = naive_poly_mul(acc, terms(f))
     return poly_dict_to_coeffs(acc, m, sum(f.d * e for f, e in forms))
 
 
@@ -240,11 +287,11 @@ def substitute(F: Form, images) -> Form:
     change of variables."""
     m_new = images[0].m
     out = {}
-    for alpha, c in F.terms().items():
+    for alpha, c in terms(F).items():
         acc = {(0,) * (m_new + 1): Fraction(1)}
         for L, a in zip(images, alpha):
             for _ in range(a):
-                acc = naive_poly_mul(acc, L.to_form().terms())
+                acc = naive_poly_mul(acc, terms(L.to_form()))
         for e, v in acc.items():
             out[e] = out.get(e, Fraction(0)) + c * v
     return Form.from_dict(m_new, F.d, out)
@@ -253,7 +300,7 @@ def substitute(F: Form, images) -> Form:
 def evaluate(F: Form, point) -> Fraction:
     """F at the point, summed monomial by monomial."""
     total = Fraction(0)
-    for alpha, c in F.terms().items():
+    for alpha, c in terms(F).items():
         v = c
         for x, a in zip(point, alpha):
             v *= Fraction(x) ** a
@@ -747,7 +794,7 @@ def random_hyperplane(rng: random.Random, m: int, bound: int) -> Hyperplane:
 def random_point_on_hyperplane(
     rng: random.Random, H: Hyperplane, bound: int
 ) -> tuple:
-    K = hyperplane_basis(H).to_rows()
+    K = to_rows(hyperplane_basis(H))
     while True:
         coeffs = [Fraction(rng.randint(-bound, bound)) for _ in range(len(K))]
         pt = tuple(sum(c * x for c, x in zip(coeffs, col)) for col in zip(*K))

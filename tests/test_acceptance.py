@@ -20,6 +20,7 @@ from oracles import (
     random_point_on_hyperplane,
     random_scheme,
     reparametrize_jet,
+    stack,
     substitute,
 )
 from veronese.binary import sylvester_binary
@@ -203,7 +204,7 @@ def test_criterion_8_conic_double_span_intersection():
             assert cert.value == 6
             SA, SB = span_matrix(A, 5), span_matrix(B, 5)
             assert rank_exact(SA) == rank_exact(SB) == 6
-            assert rank_exact(SA.stack(SB)) == 2 * 5 + 1  # Grassmann: dim 0
+            assert rank_exact(stack(SA, SB)) == 2 * 5 + 1  # Grassmann: dim 0
             for Z in (A, B):
                 for S in proper_subscheme_spans(Z, 5):
                     assert naive_membership(S, P.coeffs) is None
@@ -279,7 +280,7 @@ def test_criterion_10_property_suites():
             d = k + rng.randint(0, 2)
             A = span_matrix(SchemeSpec(m, (jet,)), d)
             B = span_matrix(SchemeSpec(m, (jr,)), d)
-            assert rank_exact(A) == rank_exact(B) == rank_exact(A.stack(B))
+            assert rank_exact(A) == rank_exact(B) == rank_exact(stack(A, B))
         # dominance partial-order axioms, exhaustive for t <= 8
         for t in range(1, 9):
             labels = partitions_enumerate(t)

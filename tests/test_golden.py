@@ -29,7 +29,9 @@ the conic relation moved to the conic's own coordinates, and two
 ``certify`` pairs outside the uniqueness regime that pass the
 line-intersection criterion, recorded before that criterion became the
 degree-3 case of the linear-position predicate.  The inputs live in
-``tests/golden/``.
+``tests/golden/``.  One more test runs deficient interpolation ranks and a
+deficient flattening with Bareiss made to raise, against digests recorded
+while those ranks still went to Bareiss.
 
 Record the digests again, only for a change that means to alter output:
 
@@ -45,6 +47,7 @@ from pathlib import Path
 
 import pytest
 
+from veronese import rationalla
 from veronese.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -214,6 +217,50 @@ def test_corpus_is_recorded(recorded):
 
 @pytest.mark.parametrize("command", CORPUS)
 def test_cli_output_matches_recorded_digest(command, recorded):
+    assert _run(command) == recorded[command]
+
+
+# Deficient conditions matrices (Alexander-Hirschowitz double points in P^2
+# and P^3 at d = 4, and triple points whose rank falls short) and the rank-3
+# Cat_1 of a 3,1 label in P^3; the h1 digests were recorded before
+# ``rank_with_fastpath`` proved a rank below the probe's reach by lifted
+# kernel vectors, when every one of these went to Bareiss.
+PROOF_PATH_SCHEMES = {
+    ("double", 2, 4): [[-9, 2, 4], [-4, 3, -3], [2, -7, 7], [-3, -5, 0], [-7, -6, 2]],
+    ("double", 3, 4): [
+        [-3, -5, 6, -3], [-8, -3, -3, 6], [-9, -4, -2, 7], [-9, -8, 3, -7], [-7, -2, -2, 8],
+        [2, 3, 0, 2], [-4, -9, -5, -9], [8, 6, 2, 6], [9, 8, 8, -5],
+    ],
+    ("triple", 3, 4): [[-3, -2, 8, 4], [-2, 5, -5, -5], [-8, 9, 9, 3], [1, 4, -3, -4]],
+    ("triple", 2, 6): [[-5, 2, -8], [4, 1, 5], [3, 7, 5], [2, 1, 5], [7, -5, -1]],
+    ("triple", 2, 4): [[-3, -1, 5], [-2, -1, -1]],
+}
+PROOF_PATH_STDOUT = {
+    ("double", 2, 4): "5fea302836ad5805a2a2c75f68ce93b6ac5075bdfa9267758f35825cde615af7",
+    ("double", 3, 4): "1585e652a4185fb0e2c6606da85595e5b352dc64a39e291bbe39a4942e7fb50b",
+    ("triple", 3, 4): "8a0c498f676f1b8cf443046841c72d85344663b2bb09eefb2a6338762b81ac65",
+    ("triple", 2, 6): "d17c8afbb035a7979187ca9f1e647fd7f062026bd69d70ea38a766d252bc2a66",
+    ("triple", 2, 4): "c44c4d132aa168e9daf4023ab36859f6e23b83278a0ece2bc8d40f16f5df68c5",
+}
+
+
+def test_deficient_ranks_are_proved_without_bareiss(recorded, tmp_path, monkeypatch):
+    """Each of these ranks is below its probe's reach, and each is settled
+    by lifted kernel vectors: with Bareiss made to raise, the output bytes
+    are the recorded ones."""
+
+    def no_bareiss(M):
+        raise AssertionError(f"Bareiss on a {M.rows} x {M.cols} matrix")
+
+    monkeypatch.setattr(rationalla, "rank_exact", no_bareiss)
+    for (kind, m, d), points in PROOF_PATH_SCHEMES.items():
+        multiplicity = {"double": 2, "triple": 3}[kind]
+        scheme = tmp_path / f"{kind}_p{m}_d{d}.json"
+        comps = [{"kind": "fat", "point": p, "multiplicity": multiplicity} for p in points]
+        scheme.write_text(json.dumps({"m": m, "components": comps}), encoding="utf-8")
+        expected = {"exit": 0, "stdout": PROOF_PATH_STDOUT[kind, m, d], "stderr": _sha("")}
+        assert _run(f"h1 {d} --scheme {scheme}") == expected
+    command = "construct 3 9 --label 3,1 --seed 0"
     assert _run(command) == recorded[command]
 
 

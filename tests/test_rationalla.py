@@ -1,14 +1,28 @@
 import random
 from fractions import Fraction
+from functools import partial
+from math import comb
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_kernel, naive_membership, naive_modular_rank, naive_rank, naive_rref
+from oracles import (
+    identity,
+    modular_rank_probe,
+    naive_kernel,
+    naive_membership,
+    naive_modular_rank,
+    naive_rank,
+    naive_rref,
+    stack,
+    to_rows,
+)
 from veronese.errors import InputError
+from veronese.forms import Form, catalecticant_matrix, hankel_index, hankel_values, power_sum
 from veronese.rationalla import (
     PROBE_PRIME as PRIME,
+    GatheredMatrix,
     QMatrix,
     _eliminate,
     _fold,
@@ -16,10 +30,10 @@ from veronese.rationalla import (
     _probe_pivots,
     kernel_basis,
     membership_solve,
-    modular_rank_probe,
     rank_exact,
     rank_with_fastpath,
 )
+from veronese.schemes import FatPoint, SchemeSpec, conditions_matrix
 
 # composite, negative and prime-divisible row denominators for from_ints
 DENOMINATORS = (1, 12, 36, -6, -35, PRIME, -PRIME, 2 * PRIME)
@@ -35,7 +49,7 @@ def random_matrix(rng, rows, cols, lo=-50, hi=50, fractions=False):
 
 
 def test_rank_identity_and_zero():
-    assert rank_exact(QMatrix.identity(3)) == 3
+    assert rank_exact(identity(3)) == 3
     assert rank_exact(QMatrix.zero(4, 4)) == 0
 
 
@@ -83,7 +97,7 @@ def test_rank_transpose_and_row_scaling():
 
 
 def test_kernel_identity_zero_and_sum_row():
-    assert kernel_basis(QMatrix.identity(3)) == []
+    assert kernel_basis(identity(3)) == []
     assert len(kernel_basis(QMatrix.zero(2, 3))) == 3
     kb = kernel_basis(QMatrix.from_rows([[1, 1, 1]]))
     assert len(kb) == 2
@@ -103,7 +117,7 @@ def test_kernel_vectors_annihilate():
 
 
 def test_membership_identity_scaling_roundtrip():
-    assert membership_solve(QMatrix.identity(3), [1, 0, 0]) == (3, [1, 0, 0])
+    assert membership_solve(identity(3), [1, 0, 0]) == (3, [1, 0, 0])
     assert membership_solve(QMatrix.from_rows([[2, -1, 5]]), [6, -3, 15]) == (1, [3])
     rng = random.Random(9)
     for _ in range(20):
@@ -133,7 +147,7 @@ def test_membership_iff_rank_unchanged():
     for _ in range(40):
         M = random_matrix(rng, rng.randint(1, 5), rng.randint(2, 6))
         v = [Fraction(rng.randint(-50, 50)) for _ in range(M.cols)]
-        appended = M.stack(QMatrix.from_rows([v]))
+        appended = stack(M, QMatrix.from_rows([v]))
         r, sol = membership_solve(M, v)
         assert r == rank_exact(M)
         assert (sol is not None) == (rank_exact(appended) == r)
@@ -237,7 +251,7 @@ def test_kernel_and_membership_equal_rref_oracle(M, seed):
     is divided by the previous pivot at every step."""
     rng = random.Random(seed)
     rows, pivots = _eliminate([list(r) for r in M.nums], True)
-    reduced, oracle_pivots = naive_rref(M.to_rows())
+    reduced, oracle_pivots = naive_rref(to_rows(M))
     assert pivots == oracle_pivots
     d = rows[0][pivots[0]] if pivots else 1
     assert rows == [[d * x for x in row] for row in reduced]
@@ -250,7 +264,7 @@ def test_kernel_and_membership_equal_rref_oracle(M, seed):
         ]
         inside = [
             sum((w * x for w, x in zip(weights, col)), Fraction(0))
-            for col in A.transpose().to_rows()
+            for col in to_rows(A.transpose())
         ]
         outside = [_rational(rng) for _ in range(A.cols)]
         # one coordinate of the inside vector moved, often the last column:
@@ -272,7 +286,7 @@ def test_rank_plus_kernel_dimension():
 
 
 def test_modular_probe_trivial_cases():
-    assert modular_rank_probe(QMatrix.identity(3)) == 3
+    assert modular_rank_probe(identity(3)) == 3
     assert modular_rank_probe(QMatrix.zero(3, 5)) == 0
 
 
@@ -410,6 +424,100 @@ def test_probe_pivots_select_a_full_rank_minor(M):
     assert rank_exact(block) == len(pivots)
 
 
+def _catalecticant(rng):
+    """The order-a Hankel matrix of a sum of k < min(rows, cols) d-th powers
+    in P^m, gathered as ``construct.flattening_rank`` gathers it, and a cap
+    above k, so that the probe falls short of its reach."""
+    m, d = rng.randint(1, 3), rng.randint(4, 8)
+    a = rng.randint(2, d // 2)
+    side = min(comb(m + a, m), comb(m + d - a, m))
+    k = rng.randint(1, side - 1)
+    coordinates = [[rng.randint(-5, 5) for _ in range(m + 1)] for _ in range(k)]
+    terms = [(Fraction(rng.randint(1, 9), rng.randint(1, 4)), p) for p in coordinates]
+    P = Form.from_ints(m, d, *power_sum(m, d, terms))
+    (H,) = GatheredMatrix.gather(
+        hankel_values(P), [(hankel_index(m, d, a), partial(catalecticant_matrix, P, a))]
+    )
+    return H, rng.randint(k + 1, k + 4)
+
+
+# interp_rank's Alexander-Hirschowitz defective shapes: (multiplicity, m, d, t)
+DEFECTIVE_SHAPES = ((2, 2, 4, 5), (3, 2, 4, 2), (3, 2, 6, 5), (2, 3, 4, 9), (3, 3, 4, 4))
+
+
+def _defective_conditions(rng):
+    k, m, d, t = rng.choice(DEFECTIVE_SHAPES)
+    while True:
+        points = [[rng.randint(-20, 20) for _ in range(m + 1)] for _ in range(t)]
+        try:
+            Z = SchemeSpec(m, tuple(FatPoint(tuple(map(Fraction, p)), k) for p in points))
+        except InputError:  # a zero or repeated support
+            continue
+        return conditions_matrix(Z, d)
+
+
+@st.composite
+def deficient_matrices(draw):
+    """(M, cap) with rank M < min(M.rows, M.cols, cap): integer products of
+    inner rank k < min(rows, cols), tall, wide and square with sides up to
+    40 and row denominators; duplicated rows and columns; zero matrices; a
+    product stacked on a row block times PROBE_PRIME, whose rank the probe
+    misses, so that the lifted kernel fails its exact check and Bareiss
+    decides; low-rank catalecticants probed on their Hankel residues with a
+    cap; and interp_rank's defective conditions matrices."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    kind = draw(
+        st.sampled_from(
+            ("product", "duplicated", "zero", "prime block", "catalecticant", "conditions")
+        )
+    )
+    if kind == "catalecticant":
+        return _catalecticant(rng)
+    if kind == "conditions":
+        return _defective_conditions(rng), None
+    side, short, long = rng.randint(2, 40), rng.randint(2, 20), rng.randint(21, 40)
+    n, m = rng.choice(((side, side), (short, long), (long, short)))
+    if kind == "zero":
+        return QMatrix.zero(n, m), None
+    lo, hi = rng.choice(((-9, 9), (0, PRIME - 1), (-(1 << 100), 1 << 100)))
+    if kind == "product":
+        nums = _int_product(rng, n, m, rng.randint(1, min(n, m) - 1), lo, hi)
+    elif kind == "duplicated":
+        k = rng.randint(1, min(n, m) - 1)
+        copies = [(rng.randrange(k), rng.choice((1, -3, 7))) for _ in range(m - k)]
+        nums = [
+            row + [row[j] * g for j, g in copies] for row in _int_product(rng, k, k, k, lo, hi)
+        ]
+        for _ in range(n - k):
+            g = rng.choice((1, -2, 5))
+            nums.append([g * x for x in rng.choice(nums)])
+        rng.shuffle(nums)
+    else:
+        k = rng.randint(1, min(n, m) - 1)
+        top = rng.randint(1, k)
+        block = [[PRIME * x for x in row] for row in _int_product(rng, n // 2, m, k - top, lo, hi)]
+        nums = _int_product(rng, n - n // 2, m, top, lo, hi) + block
+    return QMatrix.from_ints(m, nums, [rng.choice(DENOMINATORS) for _ in nums]), None
+
+
+@settings(
+    max_examples=80,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(deficient_matrices())
+def test_fastpath_equals_naive_rank_on_deficient_matrices(case):
+    """A rank below the probe's reach is the exact rank, whether the lifted
+    kernel vectors prove it or Bareiss decides."""
+    M, cap = case
+    exact = M if isinstance(M, QMatrix) else M.exact()
+    rank = naive_rank(exact)
+    assert rank < min(M.rows, M.cols, cap or M.rows)
+    assert rank_with_fastpath(M, cap) == rank
+
+
 def test_fastpath_agrees_with_exact():
     rng = random.Random(77)
     for _ in range(30):
@@ -428,9 +536,9 @@ def test_qmatrix_validation():
 def test_from_ints_flips_negative_denominators():
     M = QMatrix.from_ints(2, [[1, -2], [4, 6]], [-3, 4])
     assert M.dens == (3, 4)
-    assert M.to_rows() == [[Fraction(-1, 3), Fraction(2, 3)], [1, Fraction(3, 2)]]
-    assert M.entries == tuple(M.to_rows()[0] + M.to_rows()[1])
-    assert M.transpose().to_rows() == [[Fraction(-1, 3), 1], [Fraction(2, 3), Fraction(3, 2)]]
+    assert to_rows(M) == [[Fraction(-1, 3), Fraction(2, 3)], [1, Fraction(3, 2)]]
+    assert M.entries == tuple(to_rows(M)[0] + to_rows(M)[1])
+    assert to_rows(M.transpose()) == [[Fraction(-1, 3), 1], [Fraction(2, 3), Fraction(3, 2)]]
 
 
 def test_from_rows_clears_each_row_once():

@@ -90,48 +90,76 @@ def test_only_rationalla_names_the_probe_and_the_elimination():
 
 
 # forms.power_expand is the nu_d embedding that the README and demo 04 show
-# users; no command needs it, since every command builds whole span matrices
-REACHED_WITHOUT_A_COMMAND = {"power_expand"}
+# users; no command needs it, since every command builds whole span matrices.
+# DecompositionRecord.expand is the re-expansion demo 04 prints, and
+# QMatrix.entries is what bench/tracer.py reads of every ranked matrix.
+REACHED_WITHOUT_A_COMMAND = {"power_expand", "expand", "entries"}
+
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _is_method(node, parent) -> bool:
+    """A class's own method, reached by its name: dunders run implicitly and
+    count with their class."""
+    return (
+        isinstance(parent, ast.ClassDef)
+        and isinstance(node, _FUNCTIONS)
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    )
 
 
 def _module_definitions(tree: ast.Module):
-    """(name, node) of every module-level function, class and assigned name."""
+    """(name, label, node) of every module-level function, class and
+    assigned name, and of every method of a class, labelled Class.method."""
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield node.name, node
+        if isinstance(node, (*_FUNCTIONS, ast.ClassDef)):
+            yield node.name, node.name, node
+            for item in getattr(node, "body", ()) if isinstance(node, ast.ClassDef) else ():
+                if _is_method(item, node):
+                    yield item.name, f"{node.name}.{item.name}", item
         elif isinstance(node, ast.Assign):
-            yield from ((t.id, node) for t in node.targets if isinstance(t, ast.Name))
+            yield from ((t.id, t.id, node) for t in node.targets if isinstance(t, ast.Name))
         elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-            yield node.target.id, node
+            yield node.target.id, node.target.id, node
+
+
+def _mentions(node):
+    """Every name and attribute the definition mentions, outside the bodies
+    of its methods, which are definitions of their own."""
+    todo = [node]
+    while todo:
+        n = todo.pop()
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        todo.extend(c for c in ast.iter_child_nodes(n) if not _is_method(c, n))
 
 
 def test_every_definition_is_reached_from_the_cli():
-    """Each module-level function and class in the package is reached from
-    ``veronese.cli.main`` by following the names and attributes that each
-    reached definition mentions; a class's methods count with their class,
-    and a name reaches every package definition that bears it.  Code that
-    only tests or demos use belongs under tests/."""
+    """Each module-level function and class in the package, and each method
+    of a class, is reached from ``veronese.cli.main`` by following the names
+    and attributes that each reached definition mentions; a name reaches
+    every package definition that bears it, so a method counts only when
+    its name is reached, and dunder methods count with their class.  Code
+    that only tests or demos use belongs under tests/."""
     defs: dict[str, list] = {}
     for path in sorted(SRC.glob("*.py")):
-        for name, node in _module_definitions(ast.parse(path.read_text(encoding="utf-8"))):
-            defs.setdefault(name, []).append((path.name, node))
+        for name, label, node in _module_definitions(ast.parse(path.read_text(encoding="utf-8"))):
+            defs.setdefault(name, []).append((path.name, label, node))
     reached, todo = set(), ["main"]
     while todo:
         name = todo.pop()
         if name in reached or name not in defs:
             continue
         reached.add(name)
-        for _, node in defs[name]:
-            for n in ast.walk(node):
-                if isinstance(n, ast.Name):
-                    todo.append(n.id)
-                elif isinstance(n, ast.Attribute):
-                    todo.append(n.attr)
+        for _, _, node in defs[name]:
+            todo.extend(_mentions(node))
     unreached = sorted(
-        f"{module}:{node.lineno} {name}"
+        f"{module}:{node.lineno} {label}"
         for name, places in defs.items()
-        for module, node in places
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        for module, label, node in places
+        if isinstance(node, (*_FUNCTIONS, ast.ClassDef))
         and name not in reached | REACHED_WITHOUT_A_COMMAND
     )
     assert unreached == []
